@@ -15,7 +15,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
@@ -115,11 +115,32 @@ class ExperimentConfig:
         return PauliOperator.from_terms(self.n, self.custom_terms)
 
 
-def _parse_float_list(raw: str, where: str) -> List[float]:
+def _float_list(raw: str) -> List[float]:
+    return [float(tok) for tok in raw.replace(",", " ").split()]
+
+
+def _boolean(raw: str) -> bool:
     try:
-        return [float(tok) for tok in raw.replace(",", " ").split()]
-    except ValueError as exc:
-        raise ConfigError(f"{where}: cannot parse float list {raw!r}") from exc
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw!r}") from None
+
+
+_READERS = {
+    int: int,
+    float: float,
+    str: str,
+    bool: _boolean,
+    Optional[float]: float,
+    List[float]: _float_list,
+}
+
+# the type of every [experiment] key; custom_terms is read from [terms]
+_KEY_TYPES = {
+    name: hint
+    for name, hint in get_type_hints(ExperimentConfig).items()
+    if name != "custom_terms"
+}
 
 
 def load_config(path) -> ExperimentConfig:
@@ -129,36 +150,13 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config file {path}")
     cfg = ExperimentConfig()
     if parser.has_section("experiment"):
-        sec = parser["experiment"]
-        for key in sec:
-            if key == "n":
-                cfg.n = sec.getint(key)
-            elif key == "model":
-                cfg.model = sec.get(key)
-            elif key == "xxz_delta":
-                cfg.xxz_delta = sec.getfloat(key)
-            elif key == "xxz_anisotropy_axis":
-                cfg.xxz_anisotropy_axis = sec.get(key)
-            elif key == "temperatures":
-                cfg.temperatures = _parse_float_list(sec.get(key), "[experiment] temperatures")
-            elif key == "sigma_grid":
-                cfg.sigma_grid = _parse_float_list(sec.get(key), "[experiment] sigma_grid")
-            elif key == "runs_per_point":
-                cfg.runs_per_point = sec.getint(key)
-            elif key == "k_local":
-                cfg.k_local = sec.getint(key)
-            elif key == "seed":
-                cfg.seed = sec.getint(key)
-            elif key == "include_identity":
-                cfg.include_identity = sec.getboolean(key)
-            elif key == "project_delta":
-                cfg.project_delta = sec.getboolean(key)
-            elif key == "epsilon_w_override":
-                cfg.epsilon_w_override = sec.getfloat(key)
-            elif key == "workers":
-                cfg.workers = sec.getint(key)
-            else:
+        for key, raw in parser["experiment"].items():
+            if key not in _KEY_TYPES:
                 raise ConfigError(f"[experiment] {key}: unknown key")
+            try:
+                setattr(cfg, key, _READERS[_KEY_TYPES[key]](raw))
+            except ValueError as exc:
+                raise ConfigError(f"[experiment] {key} = {raw!r}: {exc}") from exc
     if parser.has_section("terms"):
         for key, raw in parser["terms"].items():
             coeff, _, text = raw.strip().partition(" ")
@@ -171,33 +169,12 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    if getattr(args, "config", None):
-        cfg = load_config(args.config)
-    else:
-        cfg = ExperimentConfig()
-    for name in (
-        "n",
-        "model",
-        "xxz_delta",
-        "xxz_anisotropy_axis",
-        "runs_per_point",
-        "k_local",
-        "seed",
-        "workers",
-    ):
-        value = getattr(args, name, None)
+    """The config file's values, each overridden by its flag when that is given."""
+    cfg = load_config(args.config) if args.config else ExperimentConfig()
+    for key in _KEY_TYPES:
+        value = getattr(args, key)
         if value is not None:
-            setattr(cfg, name, value)
-    if getattr(args, "temperatures", None):
-        cfg.temperatures = _parse_float_list(args.temperatures, "--temperatures")
-    if getattr(args, "sigma_grid", None):
-        cfg.sigma_grid = _parse_float_list(args.sigma_grid, "--sigma-grid")
-    if getattr(args, "include_identity", False):
-        cfg.include_identity = True
-    if getattr(args, "project_delta", False):
-        cfg.project_delta = True
-    if getattr(args, "epsilon_w", None) is not None:
-        cfg.epsilon_w_override = args.epsilon_w
+            setattr(cfg, key, value)
     cfg.validate()
     return cfg
 
@@ -267,11 +244,12 @@ def load_truth(path) -> Tuple[int, float, PauliOperator]:
 
 def cmd_learn(args) -> int:
     table = ExpectationTable.load(args.table)
-    basis = enumerate_geometric_k_local(table.n, args.k_local, args.include_identity)
+    k_local = ExperimentConfig.k_local if args.k_local is None else args.k_local
+    basis = enumerate_geometric_k_local(table.n, k_local, bool(args.include_identity))
     h_terms = models.string_basis_operators(basis)
     opts = ReconstructOptions(
-        epsilon_w=args.epsilon_w,
-        project_delta=args.project_delta,
+        epsilon_w=args.epsilon_w_override,
+        project_delta=bool(args.project_delta),
     )
     try:
         result = reconstruct(table, basis, h_terms, opts)
@@ -311,15 +289,13 @@ def cmd_learn(args) -> int:
 _WORKER_CTX: dict = {}
 
 
-def _worker_init(cfg: ExperimentConfig, exact_values: Dict[float, dict]):
+def _worker_init(cfg: ExperimentConfig, exact_tables: Dict[float, ExpectationTable]):
     basis = enumerate_geometric_k_local(cfg.n, cfg.k_local, cfg.include_identity)
     h_terms = models.string_basis_operators(basis)
     _WORKER_CTX["cfg"] = cfg
     _WORKER_CTX["assembler"] = MomentAssembler(basis, h_terms)
     _WORKER_CTX["z_true"] = models.coefficient_vector(cfg.hamiltonian(), basis)
-    _WORKER_CTX["tables"] = {
-        t: ExpectationTable(cfg.n, vals) for t, vals in exact_values.items()
-    }
+    _WORKER_CTX["tables"] = exact_tables
 
 
 def _sweep_job(job: Tuple[int, int, int]) -> dict:
@@ -377,9 +353,7 @@ def run_sweep(cfg: ExperimentConfig) -> Tuple[List[dict], List[dict]]:
     basis = enumerate_geometric_k_local(cfg.n, cfg.k_local, cfg.include_identity)
     h_terms = models.string_basis_operators(basis)
     needed = states.required_strings(basis, h_terms)
-    exact_values = {}
-    for t in cfg.temperatures:
-        exact_values[t] = dict(build_table(gibbs_density(h_true, t), needed).values)
+    exact_tables = {t: build_table(gibbs_density(h_true, t), needed) for t in cfg.temperatures}
 
     jobs = [
         (si, ti, run)
@@ -391,11 +365,11 @@ def run_sweep(cfg: ExperimentConfig) -> Tuple[List[dict], List[dict]]:
         with ProcessPoolExecutor(
             max_workers=cfg.workers,
             initializer=_worker_init,
-            initargs=(cfg, exact_values),
+            initargs=(cfg, exact_tables),
         ) as pool:
             records = list(pool.map(_sweep_job, jobs, chunksize=4))
     else:
-        _worker_init(cfg, exact_values)
+        _worker_init(cfg, exact_tables)
         records = [_sweep_job(job) for job in jobs]
 
     records.sort(key=lambda rec: (rec["sigma_noise"], rec["temperature"], rec["run"]))
@@ -493,15 +467,17 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["z", "y"],
         default=None,
     )
-    common.add_argument("--temperatures", default=None, help="comma-separated list")
-    common.add_argument("--sigma-grid", dest="sigma_grid", default=None)
+    common.add_argument(
+        "--temperatures", type=_float_list, default=None, help="comma-separated list"
+    )
+    common.add_argument("--sigma-grid", dest="sigma_grid", type=_float_list, default=None)
     common.add_argument("--runs-per-point", dest="runs_per_point", type=int, default=None)
     common.add_argument("--k-local", dest="k_local", type=int, default=None)
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--workers", type=int, default=None)
-    common.add_argument("--include-identity", action="store_true")
-    common.add_argument("--project-delta", action="store_true")
-    common.add_argument("--epsilon-w", dest="epsilon_w", type=float, default=None)
+    common.add_argument("--include-identity", action="store_true", default=None)
+    common.add_argument("--project-delta", action="store_true", default=None)
+    common.add_argument("--epsilon-w", dest="epsilon_w_override", type=float, default=None)
 
     gen = sub.add_parser("gen", parents=[common], help="write expectation tables")
     gen.add_argument("--out", required=True, help="output directory")
@@ -532,8 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "k_local", None) is None and hasattr(args, "k_local"):
-        args.k_local = 2
     try:
         return args.func(args)
     except ConfigError as exc:

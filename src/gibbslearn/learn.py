@@ -10,7 +10,7 @@ optimization margin and full diagnostics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import List, Optional, Sequence
 
@@ -152,13 +152,7 @@ def reconstruct(
         )
         diag.projected_dim = l0.shape[0]
 
-    sdp_opts = SdpOptions(
-        feas_tol=opts.sdp.feas_tol,
-        gap_tol=opts.sdp.gap_tol,
-        max_iterations=opts.sdp.max_iterations,
-        step_fraction=opts.sdp.step_fraction,
-        fixed_temperature=opts.sdp.fixed_temperature,
-    )
+    fixed_temperature = opts.sdp.fixed_temperature
     w_exps = moments.h_tilde_expectations
     if np.abs(w_exps).max() <= NORMALIZATION_TOL:
         if opts.fixed_temperature_fallback is None:
@@ -166,8 +160,9 @@ def reconstruct(
                 "every kernel direction has vanishing expectation value; "
                 "set fixed_temperature_fallback to use the unnormalized variant"
             )
-        sdp_opts.fixed_temperature = opts.fixed_temperature_fallback
+        fixed_temperature = opts.fixed_temperature_fallback
 
+    sdp_opts = replace(opts.sdp, fixed_temperature=fixed_temperature)
     problem = SdpProblem(l0, h_tilde, w_exps, sdp_opts)
     solution = sdp_mod.solve(problem)
     diag.solver_status = solution.status.value

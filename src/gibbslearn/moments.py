@@ -23,12 +23,11 @@ import numpy as np
 import scipy.linalg
 
 from .errors import GramDegenerate
-from .pauli import PauliOperator, PauliString
+from .pauli import PauliOperator, PauliString, masks, product_closure
 from .states import ExpectationTable
 
 DEFAULT_GRAM_FLOOR_REL = 1e-10
 EPSILON_W_FLOOR = 1e-11
-_KEY_SHIFT = 16
 
 _PHASE_TABLE = np.array([1 + 0j, 1j, -1 + 0j, -1j])
 
@@ -97,33 +96,33 @@ class MomentAssembler:
             if not op.is_selfadjoint():
                 raise ValueError("Hamiltonian terms must be selfadjoint")
 
-        xb = np.array([p.x for p in self.b], dtype=np.uint64)
-        zb = np.array([p.z for p in self.b], dtype=np.uint64)
-        r = len(self.b)
-
         # flattened Hamiltonian term structure: u -> (alpha, string, coeff)
-        alpha, xt, zt, ct = [], [], [], []
+        alpha, strings, ct = [], [], []
         for a, op in enumerate(self.h_terms):
             for string, coeff in op.terms.items():
                 alpha.append(a)
-                xt.append(string.x)
-                zt.append(string.z)
+                strings.append(string)
                 ct.append(coeff.real)
         self._alpha = np.array(alpha, dtype=np.int64)
         self._ct = np.array(ct, dtype=float)
-        xt = np.array(xt, dtype=np.uint64)
-        zt = np.array(zt, dtype=np.uint64)
 
-        # pair products b_l b_k: base strings and phases (Gram and modular data)
+        closure = product_closure(self.b, strings)
+        self._strings = closure.strings
+        self._pair_idx = closure.pair_idx
+        self._triple_idx = closure.triple_idx  # (u, l, k)
+        self._term_idx = closure.term_idx
+
+        xb, zb = masks(self.b)
+        xt, zt = masks(strings)
+        r = len(self.b)
+
+        # pair products b_l b_k: phases (Gram and modular data)
         xlk = xb[:, None] ^ xb[None, :]
         zlk = zb[:, None] ^ zb[None, :]
         g_lk = _phase_exponents(xb[:, None], zb[:, None], xb[None, :], zb[None, :])
-        pair_keys = (xlk << _KEY_SHIFT) | zlk
 
         # triple products b_l t_u b_k, laid out as (u, l, k): one base string
         # per triple, two bracketing orders with different phases
-        x3 = (xt[None, :, None] ^ xb[:, None, None] ^ xb[None, None, :]).transpose(1, 0, 2)
-        z3 = (zt[None, :, None] ^ zb[:, None, None] ^ zb[None, None, :]).transpose(1, 0, 2)
         # order b_l (t_u b_k): phase of t_u b_k first, then b_l times that
         g_uk = _phase_exponents(xt[:, None], zt[:, None], xb[None, :], zb[None, :])
         xuk = xt[:, None] ^ xb[None, :]
@@ -141,26 +140,9 @@ class MomentAssembler:
                 xlk[None, :, :], zlk[None, :, :], xt[:, None, None], zt[:, None, None]
             )
         ) % 4
-        triple_keys = (x3 << _KEY_SHIFT) | z3
-        # commutator weight: omega(b_l [t, b_k]) = (phase_1 - phase_2) omega(base)
-        comm_phase = _PHASE_TABLE[g1] - _PHASE_TABLE[g2]  # (u, l, k)
-
-        term_keys = (xt << _KEY_SHIFT) | zt
-        identity_key = np.zeros(1, dtype=np.uint64)
-
-        all_keys = np.concatenate(
-            [pair_keys.ravel(), triple_keys.ravel(), term_keys, identity_key]
-        )
-        self._keys = np.unique(all_keys)
-        self._strings = [
-            PauliString(self.n, int(k >> _KEY_SHIFT), int(k & ((1 << _KEY_SHIFT) - 1)))
-            for k in self._keys
-        ]
-        self._pair_idx = np.searchsorted(self._keys, pair_keys)
         self._pair_phase = _PHASE_TABLE[g_lk]
-        self._triple_idx = np.searchsorted(self._keys, triple_keys)  # (u, l, k)
-        self._comm_phase = comm_phase
-        self._term_idx = np.searchsorted(self._keys, term_keys)
+        # commutator weight: omega(b_l [t, b_k]) = (phase_1 - phase_2) omega(base)
+        self._comm_phase = _PHASE_TABLE[g1] - _PHASE_TABLE[g2]  # (u, l, k)
         self._single_term_per_alpha = np.array_equal(
             self._alpha, np.arange(len(self.h_terms))
         )
@@ -185,19 +167,27 @@ class MomentAssembler:
 
     def gram(self, table: ExpectationTable) -> np.ndarray:
         """G_ij = omega(b_i^* b_j), symmetrized to absorb noise asymmetry."""
-        v = self._values(table)
+        return self._gram(self._values(table))
+
+    def h_expectations(self, table: ExpectationTable) -> np.ndarray:
+        return self._h_expectations(self._values(table))
+
+    def commutator_tensor(self, table: ExpectationTable) -> np.ndarray:
+        """F[alpha, l, k] = omega(b_l^* [h_alpha, b_k])."""
+        return self._commutator_tensor(self._values(table))
+
+    # the same three, from values already gathered in closure order
+
+    def _gram(self, v: np.ndarray) -> np.ndarray:
         raw = self._pair_phase * v[self._pair_idx]
         return 0.5 * (raw + raw.conj().T)
 
-    def h_expectations(self, table: ExpectationTable) -> np.ndarray:
-        v = self._values(table)
+    def _h_expectations(self, v: np.ndarray) -> np.ndarray:
         out = np.zeros(len(self.h_terms))
         np.add.at(out, self._alpha, self._ct * v[self._term_idx])
         return out
 
-    def commutator_tensor(self, table: ExpectationTable) -> np.ndarray:
-        """F[alpha, l, k] = omega(b_l^* [h_alpha, b_k])."""
-        v = self._values(table)
+    def _commutator_tensor(self, v: np.ndarray) -> np.ndarray:
         contrib = self._ct[:, None, None] * self._comm_phase * v[self._triple_idx]
         if self._single_term_per_alpha:
             return contrib
@@ -214,13 +204,11 @@ class MomentAssembler:
         """Run Steps 1 and 2 on a table; the threshold defaults to the noise formula."""
         if epsilon_w_value is None:
             epsilon_w_value = epsilon_w(table.noise_sigma, self.commutator_term_count)
-        gram_sym = self.gram(table)
-        f_stack = self.commutator_tensor(table)
-        h_exps = self.h_expectations(table)
+        v = self._values(table)
         return assemble_from_matrices(
-            gram_sym,
-            f_stack,
-            h_exps,
+            self._gram(v),
+            self._commutator_tensor(v),
+            self._h_expectations(v),
             epsilon_w_value,
             gram_floor=gram_floor,
             basis=self.b,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -317,6 +317,70 @@ def enumerate_geometric_k_local(
     if include_identity:
         out.insert(0, PauliString.identity(n))
     return out
+
+
+# --- mask arrays and the required-string closure --------------------------
+
+MASK_SITE_LIMIT = 64  # masks are held as uint64 words
+
+
+def masks(strings: Sequence[PauliString]) -> Tuple[np.ndarray, np.ndarray]:
+    """The x and z masks of a list of strings as two uint64 arrays."""
+    x = np.array([s.x for s in strings], dtype=np.uint64)
+    z = np.array([s.z for s in strings], dtype=np.uint64)
+    return x, z
+
+
+@dataclass(frozen=True)
+class StringClosure:
+    """The distinct strings of a product closure and where each product lands.
+
+    ``strings`` are distinct and sorted by their (x, z) masks.  Every product
+    is an index into them: ``pair_idx[l, k]`` for b_l b_k,
+    ``triple_idx[u, l, k]`` for b_l t_u b_k and ``term_idx[u]`` for t_u.
+    """
+
+    strings: List[PauliString]
+    pair_idx: np.ndarray
+    triple_idx: np.ndarray
+    term_idx: np.ndarray
+
+
+def product_closure(
+    b: Sequence[PauliString], terms: Sequence[PauliString]
+) -> StringClosure:
+    """Required-string closure: every b_l b_k, b_l t b_k and t for t in ``terms``.
+
+    The identity is always included (b_l b_l = I).  The sort key is the mask
+    pair itself, so distinct strings never share a key for any n the masks
+    can hold; above that the closure refuses to run.
+    """
+    n = b[0].n
+    if n > MASK_SITE_LIMIT:
+        raise ValueError(
+            f"string closure on n={n} sites: masks hold at most {MASK_SITE_LIMIT} sites"
+        )
+    xb, zb = masks(b)
+    xt, zt = masks(terms)
+    r, u = len(b), len(terms)
+    x_pair = xb[:, None] ^ xb[None, :]
+    z_pair = zb[:, None] ^ zb[None, :]
+    x = np.concatenate([x_pair.ravel(), (xt[:, None, None] ^ x_pair).ravel(), xt])
+    z = np.concatenate([z_pair.ravel(), (zt[:, None, None] ^ z_pair).ravel(), zt])
+
+    order = np.lexsort((z, x))
+    x, z = x[order], z[order]
+    first = np.ones(len(x), dtype=bool)
+    first[1:] = (x[1:] != x[:-1]) | (z[1:] != z[:-1])
+    inverse = np.empty(len(x), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    pairs, triples = r * r, r * r * u
+    return StringClosure(
+        strings=[PauliString(n, *xz) for xz in zip(x[first].tolist(), z[first].tolist())],
+        pair_idx=inverse[:pairs].reshape(r, r),
+        triple_idx=inverse[pairs : pairs + triples].reshape(u, r, r),
+        term_idx=inverse[pairs + triples :],
+    )
 
 
 # --- dense bridge ---------------------------------------------------------

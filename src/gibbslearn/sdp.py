@@ -517,97 +517,3 @@ def check_solution(problem: SdpProblem, solution: SdpSolution) -> ResidualReport
         complementary_slackness=comp,
         duality_gap=gap,
     )
-
-
-# -- plain-text serialization for regression fixtures -------------------------
-
-
-def _write_matrix(handle, name: str, mat: np.ndarray):
-    mat = np.asarray(mat, dtype=complex)
-    flat_re = " ".join(repr(float(v)) for v in mat.real.ravel())
-    flat_im = " ".join(repr(float(v)) for v in mat.imag.ravel())
-    handle.write(f"{name}.shape = {mat.shape[0]} {mat.shape[1]}\n")
-    handle.write(f"{name}.real = {flat_re}\n")
-    handle.write(f"{name}.imag = {flat_im}\n")
-
-
-def _read_kv(path) -> dict:
-    out = {}
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
-    return out
-
-
-def _parse_matrix(kv: dict, name: str) -> np.ndarray:
-    rows, cols = (int(v) for v in kv[f"{name}.shape"].split())
-    re = np.array([float(v) for v in kv[f"{name}.real"].split()]).reshape(rows, cols)
-    im = np.array([float(v) for v in kv[f"{name}.imag"].split()]).reshape(rows, cols)
-    return re + 1j * im
-
-
-def save_problem(problem: SdpProblem, path):
-    with open(path, "w") as handle:
-        handle.write("# stability program data\n")
-        handle.write(f"q = {problem.q}\n")
-        handle.write(f"r = {problem.r}\n")
-        handle.write(
-            "h_tilde_expectations = "
-            + " ".join(repr(float(v)) for v in problem.h_tilde_expectations)
-            + "\n"
-        )
-        fixed = problem.options.fixed_temperature
-        handle.write(f"fixed_temperature = {'' if fixed is None else repr(fixed)}\n")
-        _write_matrix(handle, "l0", problem.l0)
-        for i, mat in enumerate(problem.h_tilde_mats):
-            _write_matrix(handle, f"h_tilde_{i}", mat)
-
-
-def load_problem(path) -> SdpProblem:
-    kv = _read_kv(path)
-    q = int(kv["q"])
-    l0 = _parse_matrix(kv, "l0")
-    mats = np.stack([_parse_matrix(kv, f"h_tilde_{i}") for i in range(q)])
-    exps = np.array([float(v) for v in kv["h_tilde_expectations"].split()])
-    options = SdpOptions()
-    if kv.get("fixed_temperature"):
-        options.fixed_temperature = float(kv["fixed_temperature"])
-    return SdpProblem(l0, mats, exps, options)
-
-
-def save_solution(solution: SdpSolution, path):
-    with open(path, "w") as handle:
-        handle.write("# stability program solution\n")
-        handle.write(f"status = {solution.status.value}\n")
-        handle.write(f"t_star = {solution.t_star!r}\n")
-        handle.write(f"mu_star = {solution.mu_star!r}\n")
-        handle.write("y_star = " + " ".join(repr(float(v)) for v in solution.y_star) + "\n")
-        handle.write(f"iterations = {solution.iterations}\n")
-        handle.write(f"residual_primal = {solution.kkt_residuals.primal!r}\n")
-        handle.write(f"residual_dual = {solution.kkt_residuals.dual!r}\n")
-        handle.write(f"residual_gap = {solution.kkt_residuals.gap!r}\n")
-        if solution.dual_certificate is not None:
-            _write_matrix(handle, "certificate", solution.dual_certificate)
-
-
-def load_solution(path) -> SdpSolution:
-    kv = _read_kv(path)
-    cert = _parse_matrix(kv, "certificate") if "certificate.shape" in kv else None
-    return SdpSolution(
-        y_star=np.array([float(v) for v in kv["y_star"].split()]),
-        t_star=float(kv["t_star"]),
-        mu_star=float(kv["mu_star"]),
-        status=SolverStatus(kv["status"]),
-        dual_certificate=cert,
-        kkt_residuals=KktResiduals(
-            primal=float(kv["residual_primal"]),
-            dual=float(kv["residual_dual"]),
-            gap=float(kv["residual_gap"]),
-        ),
-        iterations=int(kv["iterations"]),
-        diagnostics={},
-    )

@@ -114,21 +114,8 @@ def required_strings(
     """
     if not b_basis:
         return set()
-    n = b_basis[0].n
-    needed: Set[PauliString] = {PauliString.identity(n)}
-    for p in b_basis:
-        for q in b_basis:
-            needed.add(PauliString(n, p.x ^ q.x, p.z ^ q.z))
-    term_strings = set()
-    for op in h_terms:
-        term_strings.update(op.terms)
-    needed.update(term_strings)
-    for t in term_strings:
-        for p in b_basis:
-            xt, zt = p.x ^ t.x, p.z ^ t.z
-            for q in b_basis:
-                needed.add(PauliString(n, xt ^ q.x, zt ^ q.z))
-    return needed
+    terms = [t for op in h_terms for t in op.terms]
+    return set(pauli.product_closure(b_basis, terms).strings)
 
 
 @dataclass

@@ -12,6 +12,9 @@ from gibbslearn.cli import (
     write_sweep_csv,
 )
 from gibbslearn.errors import ConfigError
+from gibbslearn.models import string_basis_operators
+from gibbslearn.pauli import enumerate_geometric_k_local
+from gibbslearn.states import ExpectationTable, required_strings
 
 
 def small_sweep_config(**overrides):
@@ -72,6 +75,27 @@ class TestConfig:
         path.write_text("[experiment]\nn = 4\nbogus = 1\n")
         with pytest.raises(ConfigError, match="bogus"):
             load_config(path)
+
+    def test_bad_value_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "exp.ini"
+        path.write_text("[experiment]\nn = four\n")
+        with pytest.raises(ConfigError, match="four"):
+            load_config(path)
+        assert main(["gen", "--config", str(path), "--out", str(tmp_path / "x")]) == 4
+        assert "config error" in capsys.readouterr().err
+
+    def test_gen_takes_k_local_from_config(self, tmp_path):
+        path = tmp_path / "exp.ini"
+        path.write_text("[experiment]\nn = 4\nk_local = 1\ntemperatures = 1\n")
+        out = tmp_path / "tables"
+        assert main(["gen", "--config", str(path), "--out", str(out)]) == 0
+        table_path = out / "table_T1p0.tsv"
+        basis = enumerate_geometric_k_local(4, 1)
+        expect = required_strings(basis, string_basis_operators(basis))
+        assert set(ExpectationTable.load(table_path).values) == expect
+        # learn reads no config file and defaults to 2-local terms, whose
+        # closure needs strings this 1-local table lacks
+        assert main(["learn", "--table", str(table_path)]) == 4
 
     def test_custom_terms(self, tmp_path):
         path = tmp_path / "exp.ini"

@@ -8,11 +8,7 @@ from gibbslearn.sdp import (
     SdpSolution,
     SolverStatus,
     check_solution,
-    load_problem,
-    load_solution,
     log_psd,
-    save_problem,
-    save_solution,
     solve,
 )
 
@@ -181,25 +177,3 @@ class TestSolverProperties:
         bad = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         with pytest.raises(ValueError):
             SdpProblem(bad, np.stack([np.eye(3)]), np.array([1.0]))
-
-
-class TestSerialization:
-    def test_problem_roundtrip(self, tmp_path, rng):
-        prob = random_problem(rng, 2, 5)
-        path = tmp_path / "problem.txt"
-        save_problem(prob, path)
-        back = load_problem(path)
-        assert np.abs(back.l0 - prob.l0).max() == 0
-        assert np.abs(back.h_tilde_mats - prob.h_tilde_mats).max() == 0
-        assert np.abs(back.h_tilde_expectations - prob.h_tilde_expectations).max() == 0
-
-    def test_solution_roundtrip(self, tmp_path, rng):
-        prob = random_problem(rng, 1, 4)
-        sol = solve(prob)
-        path = tmp_path / "solution.txt"
-        save_solution(sol, path)
-        back = load_solution(path)
-        assert back.mu_star == sol.mu_star
-        assert back.t_star == sol.t_star
-        assert np.abs(back.y_star - sol.y_star).max() == 0
-        assert back.status == sol.status

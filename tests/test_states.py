@@ -3,8 +3,16 @@ import pytest
 import scipy.linalg
 
 from gibbslearn.errors import IncompleteData
-from gibbslearn.models import xxz_chain
-from gibbslearn.pauli import PauliOperator, PauliString, all_strings, dense_matrix
+from gibbslearn.models import string_basis_operators, xxz_chain
+from gibbslearn.moments import MomentAssembler
+from gibbslearn.pauli import (
+    PauliOperator,
+    PauliString,
+    all_strings,
+    dense_matrix,
+    enumerate_geometric_k_local,
+    multiply,
+)
 from gibbslearn.states import (
     ExpectationTable,
     add_noise,
@@ -112,7 +120,46 @@ class TestExpectation:
             assert expectation(rho, s) ** 2 <= 1 + 1e-12
 
 
+def enumerate_closure(b, h_terms):
+    """The required strings by explicit products, one string at a time."""
+    terms = {t for op in h_terms for t in op.terms}
+    out = {PauliString.identity(b[0].n)} | terms
+    for p in b:
+        for q in b:
+            out.add(multiply(p, q)[0])
+        for t in terms:
+            pt = multiply(p, t)[0]
+            for q in b:
+                out.add(multiply(pt, q)[0])
+    return out
+
+
 class TestRequiredStrings:
+    @pytest.mark.parametrize("n", [17, 20])
+    def test_closure_above_sixteen_sites(self, n):
+        # 1-local basis plus terms whose masks straddle bit 16
+        b = enumerate_geometric_k_local(n, 1)
+        straddling = [
+            PauliOperator.from_terms(n, [(1.0, "X15 X16")]),
+            PauliOperator.from_terms(n, [(1.0, "Z15 Y16")]),
+            PauliOperator.from_terms(n, [(-0.5, "Y15 Z16"), (2.0, "Z15 X16")]),
+        ]
+        h = string_basis_operators(b) + straddling
+        expect = enumerate_closure(b, h)
+        assert required_strings(b, h) == expect
+        assert MomentAssembler(b, h).required_strings() == expect
+
+    def test_closure_site_limit(self):
+        # the top mask bit is a key like any other; one site more is refused
+        b = [PauliString.from_text(t, 64) for t in ("X63", "Y0", "Z31 Z32")]
+        h = [PauliOperator.from_terms(64, [(1.0, "Y62 Z63")])]
+        assert required_strings(b, h) == enumerate_closure(b, h)
+        too_big = [PauliString.from_text("X64", 65)]
+        with pytest.raises(ValueError, match="at most 64 sites"):
+            required_strings(too_big, [])
+        with pytest.raises(ValueError, match="at most 64 sites"):
+            MomentAssembler(too_big, [])
+
     def test_single_qubit_closure(self):
         b = [PauliString.from_text("X0", 1)]
         h = [PauliOperator.from_terms(1, [(1.0, "Z0")])]
