@@ -32,11 +32,8 @@ from .moments import (
     MomentAssembler,
     MomentSet,
     OrthoBasis,
-    build_delta,
-    build_h_matrix,
     build_w,
     epsilon_w,
-    gram_matrix,
     kernel_basis,
     orthonormalize,
 )

@@ -30,8 +30,15 @@ from .errors import (
 )
 from .learn import ReconstructOptions, Verdict, evaluate_recovery, reconstruct
 from .moments import MomentAssembler
-from .pauli import PauliOperator, PauliString, dense_limit, enumerate_geometric_k_local
-from .states import ExpectationTable, add_noise, build_table, gibbs_density
+from .pauli import PauliOperator, dense_limit, enumerate_geometric_k_local
+from .states import (
+    ExpectationTable,
+    add_noise,
+    build_table,
+    gibbs_density,
+    read_tsv,
+    write_tsv,
+)
 
 SWEEP_COLUMNS = [
     "sigma_noise",
@@ -172,7 +179,7 @@ def _config_from_args(args) -> ExperimentConfig:
     """The config file's values, each overridden by its flag when that is given."""
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     for key in _KEY_TYPES:
-        value = getattr(args, key)
+        value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
     cfg.validate()
@@ -204,11 +211,11 @@ def cmd_gen(args) -> int:
         table_path = os.path.join(args.out, f"table_{stem}.tsv")
         table.save(table_path)
         truth_path = os.path.join(args.out, f"truth_{stem}.txt")
-        with open(truth_path, "w") as handle:
-            handle.write(f"# n = {cfg.n}\n")
-            handle.write(f"# temperature = {t!r}\n")
-            for string in sorted(h_true.terms, key=PauliString.sort_key):
-                handle.write(f"{h_true.terms[string].real!r}\t{string.to_text()}\n")
+        write_tsv(
+            truth_path,
+            {"n": cfg.n, "temperature": repr(t)},
+            ((repr(h_true.terms[p].real), p.to_text()) for p in h_true.strings()),
+        )
         written.append(table_path)
     for path in written:
         print(path)
@@ -216,27 +223,12 @@ def cmd_gen(args) -> int:
 
 
 def load_truth(path) -> Tuple[int, float, PauliOperator]:
-    n = None
-    temperature = None
-    terms = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, raw = line[1:].partition("=")
-                key, raw = key.strip(), raw.strip()
-                if key == "n":
-                    n = int(raw)
-                elif key == "temperature":
-                    temperature = float(raw)
-                continue
-            coeff, _, text = line.partition("\t")
-            terms.append((float(coeff), text))
-    if n is None or temperature is None:
+    header, rows = read_tsv(path)
+    if "n" not in header or "temperature" not in header:
         raise ConfigError(f"truth file {path} lacks n/temperature headers")
-    return n, temperature, PauliOperator.from_terms(n, terms)
+    n = int(header["n"])
+    terms = [(float(coeff), text) for coeff, text in rows]
+    return n, float(header["temperature"]), PauliOperator.from_terms(n, terms)
 
 
 # -- learn --------------------------------------------------------------------
@@ -456,44 +448,55 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="INI-style experiment config")
-    common.add_argument("--n", type=int, default=None)
-    common.add_argument("--model", choices=["xxz", "custom"], default=None)
-    common.add_argument("--xxz-delta", dest="xxz_delta", type=float, default=None)
-    common.add_argument(
+    # flag groups, each shared by the subcommands that read it
+    experiment = argparse.ArgumentParser(add_help=False)
+    experiment.add_argument("--config", help="INI-style experiment config")
+    experiment.add_argument("--n", type=int, default=None)
+    experiment.add_argument("--model", choices=["xxz", "custom"], default=None)
+    experiment.add_argument("--xxz-delta", dest="xxz_delta", type=float, default=None)
+    experiment.add_argument(
         "--xxz-anisotropy-axis",
         dest="xxz_anisotropy_axis",
         choices=["z", "y"],
         default=None,
     )
-    common.add_argument(
+    experiment.add_argument(
         "--temperatures", type=_float_list, default=None, help="comma-separated list"
     )
-    common.add_argument("--sigma-grid", dest="sigma_grid", type=_float_list, default=None)
-    common.add_argument("--runs-per-point", dest="runs_per_point", type=int, default=None)
-    common.add_argument("--k-local", dest="k_local", type=int, default=None)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--workers", type=int, default=None)
-    common.add_argument("--include-identity", action="store_true", default=None)
-    common.add_argument("--project-delta", action="store_true", default=None)
-    common.add_argument("--epsilon-w", dest="epsilon_w_override", type=float, default=None)
+    experiment.add_argument("--seed", type=int, default=None)
 
-    gen = sub.add_parser("gen", parents=[common], help="write expectation tables")
+    basis = argparse.ArgumentParser(add_help=False)
+    basis.add_argument("--k-local", dest="k_local", type=int, default=None)
+    basis.add_argument("--include-identity", action="store_true", default=None)
+
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument("--project-delta", action="store_true", default=None)
+    solver.add_argument("--epsilon-w", dest="epsilon_w_override", type=float, default=None)
+
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--sigma-grid", dest="sigma_grid", type=_float_list, default=None)
+    grid.add_argument("--runs-per-point", dest="runs_per_point", type=int, default=None)
+    grid.add_argument("--workers", type=int, default=None)
+
+    gen = sub.add_parser("gen", parents=[experiment, basis], help="write expectation tables")
     gen.add_argument("--out", required=True, help="output directory")
     gen.add_argument(
         "--sigma", type=float, default=0.0, help="optional Gaussian noise level"
     )
     gen.set_defaults(func=cmd_gen)
 
-    learn = sub.add_parser("learn", parents=[common], help="reconstruct from a table file")
+    learn = sub.add_parser(
+        "learn", parents=[basis, solver], help="reconstruct from a table file"
+    )
     learn.add_argument("--table", required=True)
     learn.add_argument("--truth", default=None, help="truth file for recovery metrics")
     learn.add_argument("--out", default=None, help="write the result record here")
     learn.add_argument("--dump-spectra", dest="dump_spectra", default=None)
     learn.set_defaults(func=cmd_learn)
 
-    sweep = sub.add_parser("sweep", parents=[common], help="noise sweep benchmark")
+    sweep = sub.add_parser(
+        "sweep", parents=[experiment, basis, solver, grid], help="noise sweep benchmark"
+    )
     sweep.add_argument("--out-dir", dest="out_dir", required=True)
     sweep.set_defaults(func=cmd_sweep)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Optional, Sequence, Set, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -56,7 +56,6 @@ class OrthoBasis:
 
     coeffs: np.ndarray
     gram_eigenvalues: np.ndarray  # sorted descending, all above the floor
-    basis_ref: Optional[List[PauliString]] = None
 
     @property
     def size(self) -> int:
@@ -211,22 +210,13 @@ class MomentAssembler:
             self._h_expectations(v),
             epsilon_w_value,
             gram_floor=gram_floor,
-            basis=self.b,
         )
 
 
 # -- standalone single-step operations ---------------------------------------
 
 
-def gram_matrix(table: ExpectationTable, b: Sequence[PauliString]) -> np.ndarray:
-    return MomentAssembler(b, []).gram(table)
-
-
-def orthonormalize(
-    gram: np.ndarray,
-    gram_floor: Optional[float] = None,
-    basis: Optional[Sequence[PauliString]] = None,
-) -> OrthoBasis:
+def orthonormalize(gram: np.ndarray, gram_floor: Optional[float] = None) -> OrthoBasis:
     """Hermitian inverse square root of the Gram matrix.
 
     Eigenvalues at or below the floor (relative to the largest by default)
@@ -237,19 +227,7 @@ def orthonormalize(
     if evals[0] <= floor:
         raise GramDegenerate(evals[evals <= floor].tolist(), floor)
     coeffs = (evecs * evals**-0.5) @ evecs.conj().T
-    return OrthoBasis(
-        coeffs=coeffs,
-        gram_eigenvalues=evals[::-1].copy(),
-        basis_ref=list(basis) if basis is not None else None,
-    )
-
-
-def build_delta(table: ExpectationTable, ortho: OrthoBasis) -> np.ndarray:
-    """Modular moment matrix: expectations of reversed products, compressed."""
-    if ortho.basis_ref is None:
-        raise ValueError("orthonormal basis carries no string references")
-    gram_sym = gram_matrix(table, ortho.basis_ref)
-    return delta_from_gram(gram_sym, ortho.coeffs)
+    return OrthoBasis(coeffs=coeffs, gram_eigenvalues=evals[::-1].copy())
 
 
 def delta_from_gram(
@@ -263,17 +241,6 @@ def delta_from_gram(
     r_mat = gram_sym if reversed_products is None else reversed_products
     delta = coeffs.conj().T @ r_mat.T @ coeffs
     return 0.5 * (delta + delta.conj().T)
-
-
-def build_h_matrix(
-    table: ExpectationTable, ortho: OrthoBasis, h_term: PauliOperator
-) -> Tuple[np.ndarray, np.ndarray]:
-    """One commutator moment matrix: returns (raw, symmetrized)."""
-    if ortho.basis_ref is None:
-        raise ValueError("orthonormal basis carries no string references")
-    f = MomentAssembler(ortho.basis_ref, [h_term]).commutator_tensor(table)[0]
-    raw = ortho.coeffs.conj().T @ f @ ortho.coeffs
-    return raw, 0.5 * (raw + raw.conj().T)
 
 
 def build_w(raw_h_mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -327,7 +294,6 @@ def assemble_from_matrices(
     h_expectations: np.ndarray,
     epsilon_w_value: float,
     gram_floor: Optional[float] = None,
-    basis: Optional[Sequence[PauliString]] = None,
     reversed_products: Optional[np.ndarray] = None,
 ) -> Tuple[OrthoBasis, MomentSet]:
     """Matrix-level pipeline seam: Gram and commutator data already assembled.
@@ -337,7 +303,7 @@ def assemble_from_matrices(
     recombination of the basis; a non-self-adjoint recombination must supply
     the reversed products omega(b_k b_l^*) separately.
     """
-    ortho = orthonormalize(gram_sym, gram_floor=gram_floor, basis=basis)
+    ortho = orthonormalize(gram_sym, gram_floor=gram_floor)
     coeffs = ortho.coeffs
     delta = delta_from_gram(gram_sym, coeffs, reversed_products)
     raw = coeffs.conj().T[None, :, :] @ np.asarray(f_stack, dtype=complex) @ coeffs

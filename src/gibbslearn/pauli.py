@@ -22,6 +22,7 @@ PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 
 _LETTER_TO_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_TO_LETTER = {(1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
+_WINDOW_LETTERS = ("I", "X", "Z", "Y")  # indexed by x_bit | z_bit << 1
 
 DEFAULT_DENSE_LIMIT = 12
 _DENSE_LIMIT_ENV = "GIBBSLEARN_DENSE_LIMIT"
@@ -122,12 +123,16 @@ class PauliString:
 
     def sort_key(self):
         """Canonical order: identity first, then (leftmost site, width, letters)."""
-        if self.is_identity:
+        occupied = self.x | self.z
+        if not occupied:
             return (0, 0, 0, ())
-        sites = self.support
-        first, last = sites[0], sites[-1]
-        window = tuple(self.letters.get(s, "I") for s in range(first, last + 1))
-        return (1, first, last - first + 1, window)
+        first = (occupied & -occupied).bit_length() - 1
+        width = occupied.bit_length() - first
+        x, z = self.x >> first, self.z >> first
+        window = tuple(
+            _WINDOW_LETTERS[(x >> k & 1) | (z >> k & 1) << 1] for k in range(width)
+        )
+        return (1, first, width, window)
 
     def to_text(self) -> str:
         if self.is_identity:

@@ -165,12 +165,10 @@ def _max_step(mat: np.ndarray, direction: np.ndarray) -> float:
     return -1.0 / lam
 
 
-def _psd_inv_sqrt_pair(mat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
     evals, evecs = scipy.linalg.eigh(mat)
     evals = np.clip(evals, 1e-300, None)
-    half = (evecs * np.sqrt(evals)) @ evecs.T
-    inv = (evecs / evals) @ evecs.T
-    return half, inv
+    return (evecs * np.sqrt(evals)) @ evecs.T
 
 
 def _min_eig(mat: np.ndarray) -> float:
@@ -230,7 +228,7 @@ def _solve_standard(
             break
 
         # Nesterov-Todd scaling point: W S W = Z
-        z_half, _ = _psd_inv_sqrt_pair(z_mat)
+        z_half = _psd_sqrt(z_mat)
         middle = z_half @ s_mat @ z_half
         mev, mvec = scipy.linalg.eigh(0.5 * (middle + middle.T))
         mev = np.clip(mev, 1e-300, None)

@@ -118,9 +118,47 @@ def required_strings(
     return set(pauli.product_closure(b_basis, terms).strings)
 
 
+def write_tsv(path, header: Dict[str, object], rows: Iterable[Tuple[str, str]]):
+    """Write ``# key = value`` header lines, then one tab-separated line per row."""
+    with open(path, "w") as handle:
+        for key, value in header.items():
+            handle.write(f"# {key} = {value}\n")
+        for row in rows:
+            handle.write("\t".join(row) + "\n")
+
+
+def read_tsv(path) -> Tuple[Dict[str, str], List[Tuple[str, str]]]:
+    """Header fields and two-column rows of a file written by ``write_tsv``.
+
+    Blank lines are skipped; a header line after the first row raises
+    ValueError.
+    """
+    header: Dict[str, str] = {}
+    rows: List[Tuple[str, str]] = []
+    with open(path) as handle:
+        for line in handle:
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                if rows:
+                    raise ValueError(f"{path}: header line {line!r} after data")
+                key, _, raw = line[1:].partition("=")
+                header[key.strip()] = raw.strip()
+                continue
+            text, _, raw = line.partition("\t")
+            rows.append((text, raw))
+    return header, rows
+
+
 @dataclass
 class ExpectationTable:
-    """Map from Pauli string to a (possibly noisy) expectation value."""
+    """Map from Pauli string to a (possibly noisy) expectation value.
+
+    ``values`` is held in canonical string order (``PauliString.sort_key``),
+    whatever order it was given in, so iterating, saving and drawing noise
+    all follow that order.
+    """
 
     n: int
     values: Dict[PauliString, float]
@@ -131,6 +169,8 @@ class ExpectationTable:
         ident = PauliString.identity(self.n)
         if ident in self.values and self.values[ident] != 1.0:
             raise ValueError("identity expectation must be exactly 1")
+        order = sorted(self.values, key=PauliString.sort_key)
+        self.values = {string: self.values[string] for string in order}
 
     def value(self, string: PauliString) -> float:
         try:
@@ -138,46 +178,28 @@ class ExpectationTable:
         except KeyError:
             raise IncompleteData(string.to_text()) from None
 
-    def canonical_strings(self) -> List[PauliString]:
-        return sorted(self.values, key=PauliString.sort_key)
-
     def save(self, path):
-        with open(path, "w") as handle:
-            handle.write(f"# n = {self.n}\n")
-            handle.write(f"# noise_sigma = {self.noise_sigma!r}\n")
-            handle.write(f"# seed = {'' if self.seed is None else self.seed}\n")
-            for string in self.canonical_strings():
-                handle.write(f"{string.to_text()}\t{self.values[string]!r}\n")
+        header = {
+            "n": self.n,
+            "noise_sigma": repr(self.noise_sigma),
+            "seed": "" if self.seed is None else self.seed,
+        }
+        write_tsv(path, header, ((s.to_text(), repr(v)) for s, v in self.values.items()))
 
     @classmethod
     def load(cls, path) -> "ExpectationTable":
-        n = None
-        sigma = 0.0
-        seed = None
-        values: Dict[PauliString, float] = {}
-        with open(path) as handle:
-            for line in handle:
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    key, _, raw = line[1:].partition("=")
-                    key = key.strip()
-                    raw = raw.strip()
-                    if key == "n":
-                        n = int(raw)
-                    elif key == "noise_sigma":
-                        sigma = float(raw)
-                    elif key == "seed":
-                        seed = int(raw) if raw else None
-                    continue
-                if n is None:
-                    raise ValueError("table file has no 'n' header before data")
-                text, _, raw = line.partition("\t")
-                values[PauliString.from_text(text, n)] = float(raw)
-        if n is None:
-            raise ValueError("table file has no 'n' header")
-        return cls(n, values, noise_sigma=sigma, seed=seed)
+        header, rows = read_tsv(path)
+        if "n" not in header:
+            raise ValueError(f"table file {path} has no 'n' header")
+        n = int(header["n"])
+        values = {PauliString.from_text(text, n): float(raw) for text, raw in rows}
+        seed = header.get("seed")
+        return cls(
+            n,
+            values,
+            noise_sigma=float(header.get("noise_sigma", 0.0)),
+            seed=int(seed) if seed else None,
+        )
 
 
 def build_table(rho: DensityMatrix, strings: Iterable[PauliString]) -> ExpectationTable:
@@ -194,25 +216,24 @@ def build_table(rho: DensityMatrix, strings: Iterable[PauliString]) -> Expectati
 def add_noise(table: ExpectationTable, sigma: float, seed) -> ExpectationTable:
     """Independent Gaussian noise of standard deviation sigma per entry.
 
-    The identity entry is never touched, entries are not clamped to [-1, 1],
-    and draws are keyed by the canonical string order, so the result is
-    independent of any evaluation schedule.  Composing noisy tables adds
-    variances.
+    One draw per entry, in the table's canonical order, so the result is
+    independent of any evaluation schedule.  The identity's draw is
+    discarded and its entry stays 1; entries are not clamped to [-1, 1].
+    Composing noisy tables adds variances.
     """
     if sigma < 0:
         raise ValueError(f"noise standard deviation must be >= 0, got {sigma}")
     if sigma == 0:
         return ExpectationTable(
-            table.n, dict(table.values), noise_sigma=table.noise_sigma, seed=table.seed
+            table.n, table.values, noise_sigma=table.noise_sigma, seed=table.seed
         )
     rng = np.random.default_rng(seed)
-    values = {}
-    for string in table.canonical_strings():
-        draw = rng.normal(0.0, sigma)
-        if string.is_identity:
-            values[string] = 1.0
-        else:
-            values[string] = table.values[string] + draw
+    draws = rng.normal(0.0, sigma, len(table.values))
+    exact = np.fromiter(table.values.values(), dtype=float, count=len(table.values))
+    values = dict(zip(table.values, (exact + draws).tolist()))
+    ident = PauliString.identity(table.n)
+    if ident in values:
+        values[ident] = 1.0
     combined = math.sqrt(table.noise_sigma**2 + sigma**2)
     seed_repr = seed if isinstance(seed, int) else None
     return ExpectationTable(table.n, values, noise_sigma=combined, seed=seed_repr)

@@ -165,6 +165,12 @@ class TestGenLearn:
         assert "recovery angle" in captured.out
         assert result_path.exists()
 
+    def test_truth_file_needs_n_and_temperature(self, tmp_path):
+        path = tmp_path / "truth.txt"
+        path.write_text("# n = 2\n-1.0\tX0 X1\n")
+        with pytest.raises(ConfigError, match="n/temperature"):
+            load_truth(path)
+
     def test_gen_rejects_oversize(self, tmp_path):
         rc = main(["gen", "--n", "64", "--out", str(tmp_path / "x")])
         assert rc == 4
@@ -263,10 +269,35 @@ class TestVerifyCommand:
 class TestParser:
     def test_subcommands_exist(self):
         parser = build_parser()
-        for cmd in ("gen", "learn", "sweep", "verify"):
-            args = parser.parse_args([cmd, "--help"]) if False else None
-        # smoke: parse a sweep invocation
-        args = build_parser().parse_args(
-            ["sweep", "--n", "3", "--sigma-grid", "1e-5", "--out-dir", "/tmp/x"]
+        args = parser.parse_args(
+            ["gen", "--n", "6", "--xxz-delta", "0.5", "--k-local", "2", "--temperatures",
+             "1.0", "--sigma", "1e-08", "--seed", "3", "--include-identity", "--out", "t"]
         )
-        assert args.n == 3 and args.out_dir == "/tmp/x"
+        assert args.n == 6 and args.sigma == 1e-8 and args.temperatures == [1.0]
+        args = parser.parse_args(
+            ["learn", "--table", "t.tsv", "--truth", "h.txt", "--k-local", "2", "--out",
+             "r.txt", "--project-delta", "--epsilon-w", "1e-6", "--dump-spectra", "s.csv"]
+        )
+        assert args.table == "t.tsv" and args.project_delta and args.epsilon_w_override == 1e-6
+        args = parser.parse_args(
+            ["sweep", "--n", "3", "--sigma-grid", "1e-5", "--runs-per-point", "2",
+             "--workers", "2", "--project-delta", "--out-dir", "/tmp/x"]
+        )
+        assert args.n == 3 and args.out_dir == "/tmp/x" and args.workers == 2
+        args = parser.parse_args(["verify", "--n", "3", "--instances", "5"])
+        assert args.n == 3 and args.instances == 5
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--out", "t", "--workers", "2"],
+            ["learn", "--table", "t.tsv", "--n", "6"],
+            ["sweep", "--out-dir", "x", "--table", "t.tsv"],
+            ["verify", "--k-local", "2"],
+        ],
+    )
+    def test_unread_flag_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gibbslearn.errors import NormalizationDegenerate
+from gibbslearn.errors import DeltaNotPositive, NormalizationDegenerate
 from gibbslearn.learn import (
     ReconstructOptions,
     Verdict,
@@ -19,7 +19,7 @@ from gibbslearn.models import (
     string_basis_operators,
     xxz_chain,
 )
-from gibbslearn.pauli import PauliOperator, all_strings
+from gibbslearn.pauli import PauliOperator, all_strings, enumerate_geometric_k_local
 from gibbslearn.states import build_table, gibbs_density
 
 
@@ -134,6 +134,27 @@ class TestReconstructSmall:
             result = reconstruct(table, b, h_terms, assembler=asm)
             assert result.verdict is Verdict.CANDIDATE
             assert result.mu_star >= -1e-7
+
+    def test_project_delta_restricts_to_eigenvalues_above_floor(self):
+        # a floor inside the modular spectrum: without projection the
+        # reconstruction refuses, with it the problem is restricted to the
+        # eigenvectors above the floor
+        n = 4
+        b = enumerate_geometric_k_local(n, 2)
+        h_terms = string_basis_operators(b)
+        asm = MomentAssembler(b, h_terms)
+        table = build_table(gibbs_density(xxz_chain(n), 1.0), asm.required_strings())
+        _, moments = asm.moment_set(table)
+        evals = np.linalg.eigvalsh(moments.delta)
+        floor = math.sqrt(evals[0] * evals[-1])
+        kept = int(np.count_nonzero(evals > floor))
+        assert 0 < kept < len(b)
+        with pytest.raises(DeltaNotPositive):
+            reconstruct(table, b, h_terms, ReconstructOptions(delta_floor=floor), assembler=asm)
+        opts = ReconstructOptions(delta_floor=floor, project_delta=True)
+        result = reconstruct(table, b, h_terms, opts, assembler=asm)
+        assert result.verdict in (Verdict.CANDIDATE, Verdict.NOT_GIBBS)
+        assert result.diagnostics.projected_dim == kept
 
     def test_rank_deficient_state_is_rejected_or_refuted(self):
         # ground-state-like density (regularized projector) is far from

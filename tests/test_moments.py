@@ -7,12 +7,9 @@ from gibbslearn.gns import build_gns
 from gibbslearn.moments import (
     MomentAssembler,
     assemble_from_matrices,
-    build_delta,
-    build_h_matrix,
     build_w,
     delta_from_gram,
     epsilon_w,
-    gram_matrix,
     kernel_basis,
     orthonormalize,
     write_spectra_csv,
@@ -43,7 +40,7 @@ class TestGram:
         rho = gibbs_density(PauliOperator.zero(2), 1.0)
         b = all_strings(2, include_identity=False)
         table = build_table(rho, {PauliString(2, p.x ^ q.x, p.z ^ q.z) for p in b for q in b})
-        gram = gram_matrix(table, b)
+        gram = MomentAssembler(b, []).gram(table)
         assert np.abs(gram - np.eye(len(b))).max() < 1e-13
 
     def test_single_qubit_thermal_gram(self):
@@ -51,7 +48,7 @@ class TestGram:
         rho = gibbs_density(h, 1.0)
         b = [PauliString.from_text("X0", 1), PauliString.from_text("Y0", 1)]
         table = build_table(rho, all_strings(1))
-        gram = gram_matrix(table, b)
+        gram = MomentAssembler(b, []).gram(table)
         t = np.tanh(1.0)
         expected = np.array([[1.0, 1j * t], [-1j * t, 1.0]])
         assert np.abs(gram - expected).max() < 1e-12
@@ -92,8 +89,8 @@ class TestDeltaAndH:
         b = all_strings(2, include_identity=False)
         asm = MomentAssembler(b, [])
         table = build_table(rho, asm.required_strings())
-        ortho = orthonormalize(asm.gram(table), basis=b)
-        delta = build_delta(table, ortho)
+        gram = asm.gram(table)
+        delta = delta_from_gram(gram, orthonormalize(gram).coeffs)
         assert np.abs(delta - np.eye(len(b))).max() < 1e-12
 
     def test_single_qubit_modular_spectrum(self):
@@ -105,8 +102,8 @@ class TestDeltaAndH:
         b = [PauliString.from_text("X0", 1), PauliString.from_text("Y0", 1)]
         asm = MomentAssembler(b, [])
         table = build_table(rho, asm.required_strings())
-        ortho = orthonormalize(asm.gram(table), basis=b)
-        delta = build_delta(table, ortho)
+        gram = asm.gram(table)
+        delta = delta_from_gram(gram, orthonormalize(gram).coeffs)
         got = np.sort(scipy.linalg.eigvalsh(delta))
         expected = np.sort([np.exp(-2.0 / t), np.exp(2.0 / t)])
         assert np.abs(got - expected).max() < 1e-10
@@ -151,8 +148,10 @@ class TestDeltaAndH:
         rho = gibbs_density(h, 1.0)
         b = [PauliString.from_text("Z0", 2), PauliString.from_text("Z1", 2)]
         table = build_table(rho, all_strings(2))
-        ortho = orthonormalize(gram_matrix(table, b), basis=b)
-        raw, sym = build_h_matrix(table, ortho, PauliOperator.from_terms(2, [(1.0, "Z0 Z1")]))
+        asm = MomentAssembler(b, [PauliOperator.from_terms(2, [(1.0, "Z0 Z1")])])
+        coeffs = orthonormalize(asm.gram(table)).coeffs
+        raw = coeffs.conj().T @ asm.commutator_tensor(table)[0] @ coeffs
+        sym = 0.5 * (raw + raw.conj().T)
         assert np.abs(raw).max() < 1e-12
         assert np.abs(sym).max() < 1e-12
 
@@ -183,7 +182,7 @@ class TestModularCongruence:
                     assert np.array_equal(swapped, gram.T)
 
                     try:
-                        ortho = orthonormalize(gram, basis=b)
+                        ortho = orthonormalize(gram)
                     except GramDegenerate:
                         outcomes["gram_degenerate"] += 1
                         continue

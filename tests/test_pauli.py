@@ -12,6 +12,7 @@ from gibbslearn.pauli import (
     dense_matrix,
     enumerate_geometric_k_local,
     multiply,
+    product_closure,
     string_dense,
 )
 
@@ -143,6 +144,31 @@ class TestEnumeration:
         assert a == b
         keys = [s.sort_key() for s in a]
         assert keys == sorted(keys)
+
+
+def letters_sort_key(s):
+    """The canonical order read off the site-to-letter map, one site at a time."""
+    if s.is_identity:
+        return (0, 0, 0, ())
+    sites = s.support
+    first, last = sites[0], sites[-1]
+    window = tuple(s.letters.get(site, "I") for site in range(first, last + 1))
+    return (1, first, last - first + 1, window)
+
+
+class TestSortKey:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_string(self, n):
+        for x in range(1 << n):
+            for z in range(1 << n):
+                s = PauliString(n, x, z)
+                assert s.sort_key() == letters_sort_key(s)
+
+    def test_two_local_closure_n6(self):
+        b = enumerate_geometric_k_local(6, 2)
+        strings = product_closure(b, b).strings
+        assert len(strings) == 4096
+        assert [s.sort_key() for s in strings] == [letters_sort_key(s) for s in strings]
 
 
 class TestDense:

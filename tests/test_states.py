@@ -19,7 +19,9 @@ from gibbslearn.states import (
     build_table,
     expectation,
     gibbs_density,
+    read_tsv,
     required_strings,
+    write_tsv,
 )
 
 from oracles import kron_operator
@@ -211,6 +213,46 @@ class TestTable:
         assert back.noise_sigma == noisy.noise_sigma
         assert back.seed == noisy.seed
         assert back.values == noisy.values  # exact repr round-trip
+
+    def test_held_in_canonical_order(self, tmp_path):
+        # a table built from a shuffled dict iterates, saves and draws noise
+        # exactly like one built in canonical order
+        n = 4
+        basis = enumerate_geometric_k_local(n, 2)
+        needed = required_strings(basis, string_basis_operators(basis))
+        strings = sorted(needed, key=PauliString.sort_key)
+        rho = gibbs_density(xxz_chain(n), 1.0)
+        canonical = {s: 1.0 if s.is_identity else expectation(rho, s) for s in strings}
+        order = np.random.default_rng(4).permutation(len(strings))
+        shuffled = {strings[i]: canonical[strings[i]] for i in order}
+        assert list(shuffled) != strings
+        a, b = ExpectationTable(n, canonical), ExpectationTable(n, shuffled)
+        assert list(a.values) == list(b.values) == strings
+        a.save(tmp_path / "a.tsv")
+        b.save(tmp_path / "b.tsv")
+        assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
+        noisy_a, noisy_b = add_noise(a, 1e-3, 9), add_noise(b, 1e-3, 9)
+        assert list(noisy_a.values.items()) == list(noisy_b.values.items())
+        # one draw per entry in that order; the identity's draw is discarded
+        draws = np.random.default_rng(9).normal(0.0, 1e-3, len(strings))
+        assert strings[0].is_identity and noisy_a.values[strings[0]] == 1.0
+        for s, draw in zip(strings[1:], draws[1:]):
+            assert noisy_a.values[s] == canonical[s] + draw
+
+    def test_load_needs_n_header_first(self, tmp_path):
+        path = tmp_path / "table.tsv"
+        path.write_text("# seed = 1\nX0\t0.5\n# n = 1\n")
+        with pytest.raises(ValueError, match="after data"):
+            ExpectationTable.load(path)
+        path.write_text("# seed = 1\nX0\t0.5\n")
+        with pytest.raises(ValueError, match="no 'n' header"):
+            ExpectationTable.load(path)
+
+    def test_tsv_format(self, tmp_path):
+        path = tmp_path / "out.tsv"
+        write_tsv(path, {"n": 2, "seed": ""}, [("X0 Z1", "0.25"), ("I", "1.0")])
+        assert path.read_text() == "# n = 2\n# seed = \nX0 Z1\t0.25\nI\t1.0\n"
+        assert read_tsv(path) == ({"n": "2", "seed": ""}, [("X0 Z1", "0.25"), ("I", "1.0")])
 
 
 class TestNoise:
