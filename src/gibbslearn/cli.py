@@ -445,6 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gibbslearn",
         description="Hamiltonian and temperature reconstruction from thermal expectation data",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -478,7 +479,9 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--runs-per-point", dest="runs_per_point", type=int, default=None)
     grid.add_argument("--workers", type=int, default=None)
 
-    gen = sub.add_parser("gen", parents=[experiment, basis], help="write expectation tables")
+    gen = sub.add_parser(
+        "gen", parents=[experiment, basis], help="write expectation tables", allow_abbrev=False
+    )
     gen.add_argument("--out", required=True, help="output directory")
     gen.add_argument(
         "--sigma", type=float, default=0.0, help="optional Gaussian noise level"
@@ -486,7 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=cmd_gen)
 
     learn = sub.add_parser(
-        "learn", parents=[basis, solver], help="reconstruct from a table file"
+        "learn", parents=[basis, solver], help="reconstruct from a table file",
+        allow_abbrev=False,
     )
     learn.add_argument("--table", required=True)
     learn.add_argument("--truth", default=None, help="truth file for recovery metrics")
@@ -495,12 +499,15 @@ def build_parser() -> argparse.ArgumentParser:
     learn.set_defaults(func=cmd_learn)
 
     sweep = sub.add_parser(
-        "sweep", parents=[experiment, basis, solver, grid], help="noise sweep benchmark"
+        "sweep", parents=[experiment, basis, solver, grid], help="noise sweep benchmark",
+        allow_abbrev=False,
     )
     sweep.add_argument("--out-dir", dest="out_dir", required=True)
     sweep.set_defaults(func=cmd_sweep)
 
-    verify = sub.add_parser("verify", help="run the brute-force verification battery")
+    verify = sub.add_parser(
+        "verify", help="run the brute-force verification battery", allow_abbrev=False
+    )
     verify.add_argument("--n", type=int, default=2)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--instances", type=int, default=100)

@@ -8,12 +8,22 @@ temperature T >= 0 and mu, subject to the linear matrix inequality
 with L0 the log of the modular matrix and A_a the kernel-direction moment
 matrices.  The normalization hyperplane is eliminated by pivoting on the
 largest |w_a|; the remaining problem is a standard-form semidefinite program
-with a handful of scalar variables and one LMI block (plus a 1x1 block for
-T >= 0), solved by an infeasible-start primal-dual interior-point method
-with Nesterov-Todd scaling and adaptive centering.  Hermitian data is mapped
-to the real symmetric embedding [[Re, -Im], [Im, Re]], which preserves
-minimum eigenvalues; the dual variable is pulled back to a complex Hermitian
-positive semidefinite certificate.
+with a handful of scalar variables, one complex Hermitian r x r LMI block
+and one scalar cone for T >= 0.  It is solved by an infeasible-start
+primal-dual interior-point method with adaptive centering and
+Nesterov-Todd scaling in the Cholesky form of Todd, Toh and Tutuncu (1998):
+the scaling comes from the Cholesky factors of the two cone variables and
+one SVD of their product, step lengths from one eigenvalue computation per
+cone in the scaled space, and positivity of a trial step from a Cholesky
+attempt whose factors are kept for the next iteration.
+
+The LMI block carries the inner product <A, B> = 2 Re tr(A^H B) and counts
+as 2r dimensions in the barrier parameter.  That is the trace product of
+the real symmetric embedding [[Re, -Im], [Im, Re]], so every iterate is the
+exact image of the same method run on the (2r+1)-dimensional real problem,
+at the cost of r x r complex factorizations.  The dual variable of the LMI
+block, normalized to unit trace, is the complex Hermitian positive
+semidefinite certificate.
 
 Every returned point is re-checked against the equivalent formulation
 mu = lambda_min(T L0 + sum y A) via a direct Hermitian eigensolve.
@@ -132,118 +142,117 @@ def log_psd(
     return 0.5 * (l0 + l0.conj().T), None
 
 
-# -- real symmetric embedding of Hermitian data ------------------------------
-
-
-def _embed(mat: np.ndarray) -> np.ndarray:
-    re, im = mat.real, mat.imag
-    return np.block([[re, -im], [im, re]])
-
-
-def _unembed_dual(block: np.ndarray) -> np.ndarray:
-    """Complex Hermitian Zc with tr(embed(M) @ Y) = 2 Re tr(M @ Zc)."""
-    d = block.shape[0] // 2
-    y11, y12 = block[:d, :d], block[:d, d:]
-    y21, y22 = block[d:, :d], block[d:, d:]
-    return 0.5 * (y11 + y22) + 0.5j * (y21 - y12)
-
-
 # -- interior-point core ------------------------------------------------------
 
 
-def _max_step(mat: np.ndarray, direction: np.ndarray) -> float:
-    """Largest alpha with mat + alpha * direction staying positive semidefinite."""
+def _cholesky(mat: np.ndarray) -> Optional[np.ndarray]:
+    """Lower Cholesky factor, or None when ``mat`` is not positive definite."""
     try:
-        chol = scipy.linalg.cholesky(mat, lower=True)
+        return scipy.linalg.cholesky(mat, lower=True)
     except scipy.linalg.LinAlgError:
-        return 0.0
-    tmp = scipy.linalg.solve_triangular(chol, direction, lower=True)
-    scaled = scipy.linalg.solve_triangular(chol, tmp.T, lower=True).T
-    lam = scipy.linalg.eigvalsh(0.5 * (scaled + scaled.T)).min()
-    if lam >= -1e-14:
-        return math.inf
-    return -1.0 / lam
+        return None
 
 
-def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    evals, evecs = scipy.linalg.eigh(mat)
-    evals = np.clip(evals, 1e-300, None)
-    return (evecs * np.sqrt(evals)) @ evecs.T
+def _hermitian(mat: np.ndarray) -> np.ndarray:
+    return 0.5 * (mat + mat.conj().T)
 
 
-def _min_eig(mat: np.ndarray) -> float:
-    return float(scipy.linalg.eigvalsh(mat).min())
+def _step_to_boundary(lam: float) -> float:
+    """Largest alpha with I + alpha * M >= 0, given lambda_min(M)."""
+    return math.inf if lam >= -1e-14 else -1.0 / lam
 
 
 def _solve_standard(
     f_stack: np.ndarray,
     f0: np.ndarray,
+    g_stack: np.ndarray,
     cvec: np.ndarray,
     feas_tol: float,
     gap_tol: float,
     max_iterations: int,
     step_fraction: float,
 ):
-    """min c'x  s.t.  sum_k x_k F_k - F0 >= 0, for real symmetric blocks.
+    """min c'x  s.t.  S = sum_k x_k F_k - F0 >= 0  and  s = sum_k x_k g_k >= 0.
 
-    Returns (x, Z, S, iterations, primal_res, dual_res, comp_gap, status_note).
-    The dual variable Z solves max tr(F0 Z) s.t. tr(F_k Z) = c_k, Z >= 0.
+    The F blocks are complex Hermitian r x r, the g blocks a (possibly
+    empty) vector of scalar cones.  Returns (x, Z, iterations, primal_res,
+    dual_res, comp_gap, status_note), where the dual matrix Z solves
+    max <F0, Z>  s.t.  <F_k, Z> + g_k'z = c_k,  Z >= 0, z >= 0.
     """
-    m = f_stack.shape[0]
-    dim = f0.shape[0]
-    eye = np.eye(dim)
+    m, r = f_stack.shape[:2]
+    p = g_stack.shape[1]
+    eye = np.eye(r)
+    # barrier parameter of the real embedding: a Hermitian r x r block
+    # counts as 2r real dimensions, each scalar cone as one
+    nu_dim = 2 * r + p
+    flat_f_conj = f_stack.conj().reshape(m, -1)
+
+    def pair(a, a_diag, b, b_diag):
+        """<A, B> = 2 Re tr(A^H B) + a'b, the embedding's trace product."""
+        return 2.0 * float(np.vdot(a, b).real) + float(a_diag @ b_diag)
+
+    def norm(mat, diag):
+        return math.sqrt(pair(mat, diag, mat, diag))
 
     x = np.zeros(m)
-    norm_f0 = np.linalg.norm(f0)
-    norm_fk = max(np.linalg.norm(fk) for fk in f_stack)
+    norm_f0 = norm(f0, np.zeros(p))
+    norm_fk = max(norm(fk, gk) for fk, gk in zip(f_stack, g_stack))
     norm_c = np.linalg.norm(cvec)
-    s_mat = max(10.0, math.sqrt(dim), norm_f0, norm_fk) * eye
-    z_mat = max(10.0, math.sqrt(dim), float(np.abs(cvec).max())) * eye
+    s0 = max(10.0, math.sqrt(nu_dim), norm_f0, norm_fk)
+    z0 = max(10.0, math.sqrt(nu_dim), float(np.abs(cvec).max()))
+    # the start is a multiple of the identity, so its factors are known
+    s_mat, s_diag, s_chol = s0 * eye + 0j, np.full(p, s0), math.sqrt(s0) * eye
+    z_mat, z_diag, z_chol = z0 * eye + 0j, np.full(p, z0), math.sqrt(z0) * eye
 
-    flat_f = f_stack.reshape(m, -1)
-
-    def residuals(xv, zv, sv):
+    def residuals(xv, zv, z_d, sv, s_d):
         r_dual = f0 + sv - np.tensordot(xv, f_stack, axes=(0, 0))
-        r_primal = cvec - flat_f @ zv.reshape(-1)
-        comp = float(np.tensordot(zv, sv))
+        r_dual_d = s_d - xv @ g_stack
+        r_primal = cvec - 2.0 * (flat_f_conj @ zv.reshape(-1)).real - g_stack @ z_d
+        comp = pair(zv, z_d, sv, s_d)
         pobj = float(cvec @ xv)
-        dobj = float(np.tensordot(f0, zv))
-        res_d = np.linalg.norm(r_dual) / (1.0 + norm_f0)
+        dobj = 2.0 * float(np.vdot(f0, zv).real)
+        res_d = norm(r_dual, r_dual_d) / (1.0 + norm_f0)
         res_p = np.linalg.norm(r_primal) / (1.0 + norm_c)
         rel_gap = comp / (1.0 + abs(pobj) + abs(dobj))
-        return r_dual, r_primal, comp, pobj, res_p, res_d, rel_gap
+        return r_dual, r_dual_d, comp, pobj, res_p, res_d, rel_gap
 
     note = ""
-    best = None  # (score, x, z, s, res_p, res_d, rel_gap)
+    best = None  # (score, x, z, res_p, res_d, rel_gap)
     it = 0
     for it in range(1, max_iterations + 1):
-        r_dual, r_primal, comp, pobj, res_p, res_d, rel_gap = residuals(x, z_mat, s_mat)
+        r_dual, r_dual_d, comp, pobj, res_p, res_d, rel_gap = residuals(
+            x, z_mat, z_diag, s_mat, s_diag
+        )
         score = max(res_p, res_d, rel_gap)
         if best is None or score < best[0]:
-            best = (score, x.copy(), z_mat.copy(), s_mat.copy(), res_p, res_d, rel_gap)
+            best = (score, x.copy(), z_mat.copy(), res_p, res_d, rel_gap)
         if res_d <= feas_tol and res_p <= feas_tol and rel_gap <= gap_tol:
             break
         if abs(pobj) > 1e12 * (1.0 + norm_f0 + norm_fk):
             note = "objective diverging; program appears unbounded"
             break
 
-        # Nesterov-Todd scaling point: W S W = Z
-        z_half = _psd_sqrt(z_mat)
-        middle = z_half @ s_mat @ z_half
-        mev, mvec = scipy.linalg.eigh(0.5 * (middle + middle.T))
-        mev = np.clip(mev, 1e-300, None)
-        mid_inv_half = (mvec / np.sqrt(mev)) @ mvec.T
-        w_scale = z_half @ mid_inv_half @ z_half
-        w_scale = 0.5 * (w_scale + w_scale.T)
+        # Nesterov-Todd scaling from the Cholesky factors (Todd-Toh-Tutuncu):
+        # with Lz^H Ls = U D V^H and R = Lz U D^{-1/2}, R^H S R = R^{-1} Z R^{-H}
+        # = D and W = R R^H satisfies W S W = Z.  Everything below lives in
+        # that scaled space, where S and Z are both the diagonal D.
+        u_mat, d, _ = scipy.linalg.svd(z_chol.conj().T @ s_chol)
+        d = np.clip(d, 1e-300, None)
+        r_mat = (z_chol @ u_mat) / np.sqrt(d)
+        r_adj = r_mat.conj().T
+        f_scaled = r_adj @ f_stack @ r_mat  # (m, r, r): R^H F_k R
+        r_dual_scaled = r_adj @ r_dual @ r_mat
+        w_diag = z_diag / s_diag  # scalar cones: W s W = z
 
-        s_evals, s_evecs = scipy.linalg.eigh(s_mat)
-        s_inv = (s_evecs / np.clip(s_evals, 1e-300, None)) @ s_evecs.T
-
-        t_mats = f_stack @ w_scale  # (m, dim, dim)
-        schur = t_mats.reshape(m, -1) @ t_mats.transpose(0, 2, 1).reshape(m, -1).T
+        flat_scaled = f_scaled.reshape(m, -1)
+        schur = 2.0 * (flat_scaled.conj() @ flat_scaled.T).real + (g_stack * w_diag) @ g_stack.T
         schur = 0.5 * (schur + schur.T)
-        a_vec = flat_f @ s_inv.reshape(-1)
-        h_vec = flat_f @ (w_scale @ r_dual @ w_scale).reshape(-1)
+        # <F_k, S^{-1}> and <F_k, W R_d W>, read in the scaled space
+        a_vec = 2.0 * np.einsum("kii->ki", f_scaled).real @ (1.0 / d) + g_stack @ (1.0 / s_diag)
+        h_vec = (
+            2.0 * (flat_scaled.conj() @ r_dual_scaled.reshape(-1)).real
+            + g_stack @ (w_diag * r_dual_d)
+        )
 
         try:
             schur_cho = scipy.linalg.cho_factor(
@@ -259,33 +268,54 @@ def _solve_standard(
             sol += scipy.linalg.cho_solve(schur_cho, rhs - schur @ sol)
             return sol
 
-        def directions(nu):
-            dx = solve_schur(nu * a_vec + h_vec - cvec)
-            ds = np.tensordot(dx, f_stack, axes=(0, 0)) - r_dual
-            ds = 0.5 * (ds + ds.T)
-            dz = nu * s_inv - z_mat - w_scale @ ds @ w_scale
-            dz = 0.5 * (dz + dz.T)
-            return dx, ds, dz
+        inv_sqrt_d = 1.0 / np.sqrt(d)
+        inv_sqrt_outer = np.outer(inv_sqrt_d, inv_sqrt_d)
 
-        # predictor pass sets the adaptive centering weight
-        dxa, dsa, dza = directions(0.0)
-        alpha_s = min(1.0, step_fraction * _max_step(s_mat, dsa))
-        alpha_z = min(1.0, step_fraction * _max_step(z_mat, dza))
-        comp_aff = float(np.tensordot(z_mat + alpha_z * dza, s_mat + alpha_s * dsa))
+        def directions(nu):
+            """dx, the scaled dS~ = R^H dS R, the scalar steps and both step lengths.
+
+            dZ~ = nu D^{-1} - D - dS~, so either cone's ratio test is one
+            eigenvalue of D^{-1/2} (.) D^{-1/2}, plus the scalar cones.
+            """
+            dx = solve_schur(nu * a_vec + h_vec - cvec)
+            ds_scaled = np.tensordot(dx, f_scaled, axes=(0, 0)) - r_dual_scaled
+            ds_d = dx @ g_stack - r_dual_d
+            dz_d = nu / s_diag - z_diag - w_diag * ds_d
+            ds_ratio = ds_scaled * inv_sqrt_outer
+            dz_ratio = np.diag(nu / d**2 - 1.0) - ds_ratio
+            lam_s = np.min(ds_d / s_diag, initial=scipy.linalg.eigvalsh(ds_ratio)[0])
+            lam_z = np.min(dz_d / z_diag, initial=scipy.linalg.eigvalsh(dz_ratio)[0])
+            alpha_s = min(1.0, step_fraction * _step_to_boundary(lam_s))
+            alpha_z = min(1.0, step_fraction * _step_to_boundary(lam_z))
+            return dx, ds_scaled, ds_d, dz_d, alpha_s, alpha_z
+
+        # predictor pass sets the adaptive centering weight; <Z, S> is
+        # invariant under the scaling, so it is evaluated on D
+        _, dsa, dsa_d, dza_d, alpha_s, alpha_z = directions(0.0)
+        dza = np.diag(-d) - dsa
+        comp_aff = pair(
+            np.diag(d) + alpha_z * dza, z_diag + alpha_z * dza_d,
+            np.diag(d) + alpha_s * dsa, s_diag + alpha_s * dsa_d,
+        )
         sigma = min(1.0, max(1e-10, (max(comp_aff, 0.0) / comp) ** 3))
         if max(res_p, res_d) > 10.0 * feas_tol:
             sigma = max(sigma, 1e-2)  # keep centering while still infeasible
 
-        dx, ds, dz = directions(sigma * comp / dim)
-        alpha_s = min(1.0, step_fraction * _max_step(s_mat, ds))
-        alpha_z = min(1.0, step_fraction * _max_step(z_mat, dz))
-        # fold back until both cone variables stay strictly positive
+        nu = sigma * comp / nu_dim
+        dx, ds_scaled, ds_d, dz_d, alpha_s, alpha_z = directions(nu)
+        ds = _hermitian(np.tensordot(dx, f_stack, axes=(0, 0)) - r_dual)
+        dz = _hermitian(r_mat @ (np.diag(nu / d - d) - ds_scaled) @ r_adj)
+        # fold back until both cone variables stay strictly positive; the
+        # Cholesky factors that pass are the next iteration's scaling input
         shrink = 0
         while shrink < 30:
-            s_new = s_mat + alpha_s * ds
-            z_new = z_mat + alpha_z * dz
-            if _min_eig(s_new) > 0 and _min_eig(z_new) > 0:
-                break
+            s_new, s_new_d = s_mat + alpha_s * ds, s_diag + alpha_s * ds_d
+            z_new, z_new_d = z_mat + alpha_z * dz, z_diag + alpha_z * dz_d
+            if np.all(s_new_d > 0) and np.all(z_new_d > 0):
+                s_new_chol = _cholesky(s_new)
+                z_new_chol = None if s_new_chol is None else _cholesky(z_new)
+                if z_new_chol is not None:
+                    break
             alpha_s *= 0.8
             alpha_z *= 0.8
             shrink += 1
@@ -293,20 +323,20 @@ def _solve_standard(
             note = "step length collapsed"
             break
         x = x + alpha_s * dx
-        s_mat = s_new
-        z_mat = z_new
+        s_mat, s_diag, s_chol = s_new, s_new_d, s_new_chol
+        z_mat, z_diag, z_chol = z_new, z_new_d, z_new_chol
 
-    _, _, comp, pobj, res_p, res_d, rel_gap = residuals(x, z_mat, s_mat)
+    _, _, comp, pobj, res_p, res_d, rel_gap = residuals(x, z_mat, z_diag, s_mat, s_diag)
     if best is not None and max(res_p, res_d, rel_gap) > best[0]:
-        _, x, z_mat, s_mat, res_p, res_d, rel_gap = best
-    return x, z_mat, s_mat, it, res_p, res_d, rel_gap, note
+        _, x, z_mat, res_p, res_d, rel_gap = best
+    return x, z_mat, it, res_p, res_d, rel_gap, note
 
 
 def solve(problem: SdpProblem) -> SdpSolution:
     """Solve the stability program with certificates.
 
     The temperature enters as one more scalar variable bounded below by a
-    1x1 slack block; a vanishing optimal temperature is legal output and is
+    scalar cone; a vanishing optimal temperature is legal output and is
     flagged in the diagnostics as physically degenerate.
     """
     opts = problem.options
@@ -336,33 +366,22 @@ def solve(problem: SdpProblem) -> SdpSolution:
         free = [a for a in range(q) if a != pivot]
         a_free = [h_mats[a] - (w[a] / w[pivot]) * h_mats[pivot] for a in free]
         const = -(1.0 / w[pivot]) * h_mats[pivot]  # additive LMI term from pivot
-        m = len(free) + 2  # free y components, T, mu
-        dim = 2 * r + 1
-        f_stack = np.zeros((m, dim, dim))
-        for i, mat in enumerate(a_free):
-            f_stack[i, : 2 * r, : 2 * r] = _embed(mat)
-        f_stack[len(free), : 2 * r, : 2 * r] = _embed(l0)
-        f_stack[len(free), 2 * r, 2 * r] = 1.0  # slack block enforcing T >= 0
-        f_stack[len(free) + 1, : 2 * r, : 2 * r] = -np.eye(2 * r)
-        f0 = np.zeros((dim, dim))
-        f0[: 2 * r, : 2 * r] = _embed(-const)
-        cvec = np.zeros(m)
-        cvec[-1] = -1.0  # maximize mu
+        # variables: free y components, T, mu
+        f_stack = np.stack(a_free + [l0, -np.eye(r)])
+        g_stack = np.zeros((len(free) + 2, 1))
+        g_stack[len(free), 0] = 1.0  # scalar cone enforcing T >= 0
+        f0 = -const
     else:
-        m = q + 1
-        dim = 2 * r
-        f_stack = np.zeros((m, dim, dim))
-        for a in range(q):
-            f_stack[a] = _embed(h_mats[a])
-        f_stack[q] = -np.eye(dim)
-        f0 = _embed(-fixed_t / scale * problem.l0)
-        cvec = np.zeros(m)
-        cvec[-1] = -1.0
+        f_stack = np.concatenate([h_mats, -np.eye(r)[None]])
+        g_stack = np.zeros((q + 1, 0))
+        f0 = -fixed_t / scale * problem.l0
+    cvec = np.zeros(f_stack.shape[0])
+    cvec[-1] = -1.0  # maximize mu
 
     solve_feas = min(opts.feas_tol, 1e-9)
     solve_gap = min(opts.gap_tol, 1e-9)
-    x, z_mat, s_mat, iterations, res_p, res_d, rel_gap, note = _solve_standard(
-        f_stack, f0, cvec, solve_feas, solve_gap, opts.max_iterations, opts.step_fraction
+    x, certificate, iterations, res_p, res_d, rel_gap, note = _solve_standard(
+        f_stack, f0, g_stack, cvec, solve_feas, solve_gap, opts.max_iterations, opts.step_fraction
     )
 
     if fixed_t is None:
@@ -371,17 +390,13 @@ def solve(problem: SdpProblem) -> SdpSolution:
             y[a] = x[i]
         y[pivot] = (-1.0 - sum(w[a] * y[a] for a in free)) / w[pivot]
         t_star = float(x[len(free)])
-        mu_star = float(x[-1]) * scale
-        z_block = z_mat[: 2 * r, : 2 * r]
     else:
         y = x[:q].copy()
         t_star = float(fixed_t)
-        mu_star = float(x[-1]) * scale
-        z_block = z_mat
+    mu_star = float(x[-1]) * scale
 
     if -1e-9 < t_star < 0:
         t_star = 0.0
-    certificate = _unembed_dual(z_block)
     cert_trace = float(np.trace(certificate).real)
     if cert_trace > 1e-300:
         certificate = certificate / cert_trace  # trace-1 convention
@@ -457,8 +472,8 @@ class ResidualReport:
 def check_solution(problem: SdpProblem, solution: SdpSolution) -> ResidualReport:
     """Recompute every optimality residual from scratch.
 
-    Uses direct complex Hermitian eigensolves on the original (unembedded)
-    data, a code path disjoint from the solver's scaled real embedding.
+    Uses direct complex Hermitian eigensolves on the original (unscaled)
+    data, a code path disjoint from the solver's Cholesky-scaled iterates.
     """
     y = solution.y_star
     t = solution.t_star

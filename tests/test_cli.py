@@ -301,3 +301,16 @@ class TestParser:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--sigma", "1e-6", "--out-dir", "x"],  # not --sigma-grid
+            ["sweep", "--out", "x"],  # not --out-dir
+            ["gen", "--out", "t", "--sig", "1e-6"],  # not --sigma
+        ],
+    )
+    def test_flag_prefix_not_expanded(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2

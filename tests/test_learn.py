@@ -20,7 +20,7 @@ from gibbslearn.models import (
     xxz_chain,
 )
 from gibbslearn.pauli import PauliOperator, all_strings, enumerate_geometric_k_local
-from gibbslearn.states import build_table, gibbs_density
+from gibbslearn.states import add_noise, build_table, gibbs_density
 
 
 class TestMetrics:
@@ -187,6 +187,23 @@ class TestReconstructSmall:
                 assert result.mu_star < 1e-3
         except GramDegenerate:
             pass
+
+
+class TestCentralPath:
+    def test_xxz_n6_iterations_and_temperature(self):
+        # a solver rewrite must follow the same interior-point path: these
+        # are the iteration count and T* of the real-embedding solver that
+        # preceded the complex Hermitian one
+        n = 6
+        b = enumerate_geometric_k_local(n, 2)
+        h_terms = string_basis_operators(b)
+        asm = MomentAssembler(b, h_terms)
+        exact = build_table(gibbs_density(xxz_chain(n, 0.5), 1.0), asm.required_strings())
+        table = add_noise(exact, 1e-8, np.random.SeedSequence(0))
+        result = reconstruct(table, b, h_terms, assembler=asm)
+        assert result.verdict is Verdict.CANDIDATE
+        assert result.diagnostics.solver_iterations == 13
+        assert result.t_star == pytest.approx(0.203138265318453, rel=1e-8)
 
 
 class TestResultSerialization:

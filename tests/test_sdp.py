@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gibbslearn.errors import DeltaNotPositive, NormalizationDegenerate
 from gibbslearn.sdp import (
@@ -173,7 +174,42 @@ class TestSolverProperties:
         assert abs(sol.y_star[0] - 1.0) < 1e-6
         assert sol.t_star == 1.0
 
+    def test_fixed_temperature_random_complex(self, rng):
+        # the variant without the scalar temperature cone, on generic data
+        prob = random_problem(rng, 2, 8)
+        prob.options = SdpOptions(fixed_temperature=0.7)
+        sol = solve(prob)
+        assert sol.status is SolverStatus.OPTIMAL
+        assert sol.t_star == 0.7
+        assert check_solution(prob, sol).worst_violation() <= 1e-7
+
     def test_rejects_nonhermitian(self, rng):
         bad = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         with pytest.raises(ValueError):
             SdpProblem(bad, np.stack([np.eye(3)]), np.array([1.0]))
+
+
+class TestSolverCost:
+    def test_factorizations_stay_small_and_few(self, rng, monkeypatch):
+        # the interior-point method works on the r x r Hermitian block and
+        # scales with Cholesky factors: no eigendecomposition, no 2r+1 real
+        # embedding, and a handful of factorizations per iteration
+        r = 8
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(mat, *args, **kwargs):
+                calls.append((name, np.shape(mat)))
+                return fn(mat, *args, **kwargs)
+
+            return wrapper
+
+        prob = random_problem(rng, 2, r)
+        for name in ("eigh", "eigvalsh", "cholesky", "cho_factor", "svd"):
+            monkeypatch.setattr(scipy.linalg, name, counted(name, getattr(scipy.linalg, name)))
+        sol = solve(prob)
+        monkeypatch.undo()
+        assert sol.status is SolverStatus.OPTIMAL
+        assert not [c for c in calls if c[0] == "eigh"]
+        assert max(max(shape) for _, shape in calls) <= r
+        assert len(calls) <= 8 * sol.iterations
