@@ -30,7 +30,7 @@ from .errors import (
 )
 from .learn import ReconstructOptions, Verdict, evaluate_recovery, reconstruct
 from .moments import MomentAssembler
-from .pauli import PauliOperator, dense_limit, enumerate_geometric_k_local
+from .pauli import PauliOperator, PauliString, dense_limit, enumerate_geometric_k_local
 from .states import (
     ExpectationTable,
     add_noise,
@@ -62,6 +62,11 @@ AGGREGATE_COLUMNS = [
     "temp_ratio_mean",
     "temp_ratio_std",
 ]
+
+# the failures a reconstruction reports instead of a verdict
+RECONSTRUCTION_FAILURES = (
+    GramDegenerate, DeltaNotPositive, NormalizationDegenerate, SolverFailure
+)
 
 VERDICT_SUMMARY = {
     Verdict.NOT_STATIONARY: (
@@ -186,6 +191,14 @@ def _config_from_args(args) -> ExperimentConfig:
     return cfg
 
 
+def _string_basis(
+    n: int, k_local: int, include_identity: bool
+) -> Tuple[List[PauliString], List[PauliOperator]]:
+    """The geometrically k-local strings, as perturbing operators and as terms."""
+    basis = enumerate_geometric_k_local(n, k_local, include_identity)
+    return basis, models.string_basis_operators(basis)
+
+
 # -- gen ----------------------------------------------------------------------
 
 
@@ -198,8 +211,7 @@ def cmd_gen(args) -> int:
     cfg = _config_from_args(args)
     os.makedirs(args.out, exist_ok=True)
     h_true = cfg.hamiltonian()
-    basis = enumerate_geometric_k_local(cfg.n, cfg.k_local, cfg.include_identity)
-    h_terms = models.string_basis_operators(basis)
+    basis, h_terms = _string_basis(cfg.n, cfg.k_local, cfg.include_identity)
     needed = states.required_strings(basis, h_terms)
     written = []
     for t in cfg.temperatures:
@@ -237,15 +249,14 @@ def load_truth(path) -> Tuple[int, float, PauliOperator]:
 def cmd_learn(args) -> int:
     table = ExpectationTable.load(args.table)
     k_local = ExperimentConfig.k_local if args.k_local is None else args.k_local
-    basis = enumerate_geometric_k_local(table.n, k_local, bool(args.include_identity))
-    h_terms = models.string_basis_operators(basis)
+    basis, h_terms = _string_basis(table.n, k_local, bool(args.include_identity))
     opts = ReconstructOptions(
         epsilon_w=args.epsilon_w_override,
         project_delta=bool(args.project_delta),
     )
     try:
         result = reconstruct(table, basis, h_terms, opts)
-    except (GramDegenerate, DeltaNotPositive, NormalizationDegenerate, SolverFailure) as exc:
+    except RECONSTRUCTION_FAILURES as exc:
         print(f"reconstruction failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
 
@@ -282,9 +293,11 @@ _WORKER_CTX: dict = {}
 
 
 def _worker_init(cfg: ExperimentConfig, exact_tables: Dict[float, ExpectationTable]):
-    basis = enumerate_geometric_k_local(cfg.n, cfg.k_local, cfg.include_identity)
-    h_terms = models.string_basis_operators(basis)
+    basis, h_terms = _string_basis(cfg.n, cfg.k_local, cfg.include_identity)
     _WORKER_CTX["cfg"] = cfg
+    _WORKER_CTX["opts"] = ReconstructOptions(
+        epsilon_w=cfg.epsilon_w_override, project_delta=cfg.project_delta
+    )
     _WORKER_CTX["assembler"] = MomentAssembler(basis, h_terms)
     _WORKER_CTX["z_true"] = models.coefficient_vector(cfg.hamiltonian(), basis)
     _WORKER_CTX["tables"] = exact_tables
@@ -310,14 +323,11 @@ def _sweep_job(job: Tuple[int, int, int]) -> dict:
     }
     try:
         noisy = add_noise(exact, sigma, seed_seq)
-        opts = ReconstructOptions(
-            epsilon_w=cfg.epsilon_w_override, project_delta=cfg.project_delta
-        )
         result = reconstruct(
             noisy,
             _WORKER_CTX["assembler"].b,
             _WORKER_CTX["assembler"].h_terms,
-            opts,
+            _WORKER_CTX["opts"],
             assembler=_WORKER_CTX["assembler"],
         )
         record["verdict"] = result.verdict.value
@@ -328,7 +338,7 @@ def _sweep_job(job: Tuple[int, int, int]) -> dict:
             report = evaluate_recovery(result, _WORKER_CTX["z_true"], temperature)
             record["theta"] = repr(report.theta)
             record["temp_ratio"] = repr(report.temperature_ratio)
-    except (GramDegenerate, DeltaNotPositive, NormalizationDegenerate, SolverFailure) as exc:
+    except RECONSTRUCTION_FAILURES as exc:
         record["verdict"] = type(exc).__name__
     record["wall_ms"] = repr((time.perf_counter() - start) * 1e3)
     return record
@@ -342,8 +352,7 @@ def run_sweep(cfg: ExperimentConfig) -> Tuple[List[dict], List[dict]]:
     """
     cfg.validate()
     h_true = cfg.hamiltonian()
-    basis = enumerate_geometric_k_local(cfg.n, cfg.k_local, cfg.include_identity)
-    h_terms = models.string_basis_operators(basis)
+    basis, h_terms = _string_basis(cfg.n, cfg.k_local, cfg.include_identity)
     needed = states.required_strings(basis, h_terms)
     exact_tables = {t: build_table(gibbs_density(h_true, t), needed) for t in cfg.temperatures}
 

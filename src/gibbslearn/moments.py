@@ -10,6 +10,18 @@ Pauli products are structural: phases and base strings do not depend on the
 data.  The assembler therefore precomputes integer index maps once per
 (b, h_terms) pair, after which any number of (noisy) tables can be processed
 with plain array gathers.
+
+Every phase follows one rule (Aaronson and Gottesman 2004).  With
+y(p) = np.bitwise_count(x & z), the number of Y letters of p, a product of strings
+p_1 ... p_m equals i^g times the string with masks (x_1 ^ ... ^ x_m,
+z_1 ^ ... ^ z_m), where
+
+    g = sum_j y(p_j) - y(product) + 2 sum_{i<j} np.bitwise_count(z_i & x_j)   (mod 4).
+
+The product's masks are those of its entry in the closure, so its y is a
+gather.  A commutator needs only the one bracketing b_l t_u b_k: when t_u
+commutes with b_k the weight of b_l [t_u, b_k] is zero, and when they
+anticommute b_l b_k t_u = -b_l t_u b_k, so the weight is 2 i^g.
 """
 
 from __future__ import annotations
@@ -23,25 +35,16 @@ import numpy as np
 import scipy.linalg
 
 from .errors import GramDegenerate
-from .pauli import PauliOperator, PauliString, masks, product_closure
+from .pauli import PHASES, PauliOperator, PauliString, masks, product_closure
 from .states import ExpectationTable
 
 DEFAULT_GRAM_FLOOR_REL = 1e-10
 EPSILON_W_FLOOR = 1e-11
 
-_PHASE_TABLE = np.array([1 + 0j, 1j, -1 + 0j, -1j])
-
-
-def _popcount(arr):
-    return np.bitwise_count(arr.astype(np.uint64)).astype(np.int64)
-
-
-def _phase_exponents(x1, z1, x2, z2):
-    """i-power of the product of two strings given as mask arrays (broadcasts)."""
-    x3 = x1 ^ x2
-    z3 = z1 ^ z2
-    g = _popcount(x1 & z1) + _popcount(x2 & z2) - _popcount(x3 & z3) + 2 * _popcount(z1 & x2)
-    return g % 4
+_PHASE_TABLE = np.array(PHASES)
+# commutator weight i^g - i^(g+2) = 2 i^g of an anticommuting pair; index 4
+# holds the zero weight of a commuting pair
+_COMMUTATOR_TABLE = np.append(_PHASE_TABLE - np.roll(_PHASE_TABLE, 2), 0)
 
 
 @dataclass
@@ -67,14 +70,12 @@ class MomentSet:
     """All Step-1/Step-2 matrices plus the thresholds used to build them."""
 
     delta: np.ndarray
-    h_mats: np.ndarray  # (s, r, r), symmetrized
     raw_h_mats: np.ndarray  # (s, r, r), as measured
     w_matrix: np.ndarray
     w_spectrum: np.ndarray
     kernel_coeffs: np.ndarray  # (q, s) real rows
     h_tilde_mats: np.ndarray  # (q, r, r)
     h_tilde_expectations: np.ndarray  # (q,)
-    h_expectations: np.ndarray  # (s,)
     epsilon_w: float
 
     @property
@@ -111,46 +112,38 @@ class MomentAssembler:
         self._triple_idx = closure.triple_idx  # (u, l, k)
         self._term_idx = closure.term_idx
 
+        # phases of every b_l b_k and b_l t_u b_k (module docstring), in uint8:
+        # sums wrap modulo 256, a multiple of 4, so every exponent stays exact
         xb, zb = masks(self.b)
         xt, zt = masks(strings)
         r = len(self.b)
-
-        # pair products b_l b_k: phases (Gram and modular data)
-        xlk = xb[:, None] ^ xb[None, :]
-        zlk = zb[:, None] ^ zb[None, :]
-        g_lk = _phase_exponents(xb[:, None], zb[:, None], xb[None, :], zb[None, :])
-
-        # triple products b_l t_u b_k, laid out as (u, l, k): one base string
-        # per triple, two bracketing orders with different phases
-        # order b_l (t_u b_k): phase of t_u b_k first, then b_l times that
-        g_uk = _phase_exponents(xt[:, None], zt[:, None], xb[None, :], zb[None, :])
-        xuk = xt[:, None] ^ xb[None, :]
-        zuk = zt[:, None] ^ zb[None, :]
-        g1 = (
-            g_uk[:, None, :]
-            + _phase_exponents(
-                xb[None, :, None], zb[None, :, None], xuk[:, None, :], zuk[:, None, :]
-            )
+        y_b, y_t = np.bitwise_count(xb & zb), np.bitwise_count(xt & zt)
+        y_closure = np.bitwise_count(closure.x & closure.z)
+        zx_bb = np.bitwise_count(zb[:, None] & xb[None, :])  # (l, k)
+        zx_bt = np.bitwise_count(zb[None, :] & xt[:, None])  # (u, l)
+        zx_tb = np.bitwise_count(zt[:, None] & xb[None, :])  # (u, k)
+        g_pair = (y_b[:, None] + y_b[None, :] - y_closure[self._pair_idx] + 2 * zx_bb) % 4
+        g_triple = (
+            y_b[None, :, None]
+            + y_t[:, None, None]
+            + y_b[None, None, :]
+            - y_closure[self._triple_idx]
+            + 2 * (zx_bt[:, :, None] + zx_bb[None, :, :] + zx_tb[:, None, :])
         ) % 4
-        # order (b_l b_k) t_u
-        g2 = (
-            g_lk[None, :, :]
-            + _phase_exponents(
-                xlk[None, :, :], zlk[None, :, :], xt[:, None, None], zt[:, None, None]
-            )
-        ) % 4
-        self._pair_phase = _PHASE_TABLE[g_lk]
-        # commutator weight: omega(b_l [t, b_k]) = (phase_1 - phase_2) omega(base)
-        self._comm_phase = _PHASE_TABLE[g1] - _PHASE_TABLE[g2]  # (u, l, k)
+        anti = (zx_tb + np.bitwise_count(xt[:, None] & zb[None, :])) % 2 == 1  # (u, k)
+
+        self._pair_phase = _PHASE_TABLE[g_pair]
+        # F[alpha, l, k] sums c_u omega(b_l [t_u, b_k]) over the strings u of h_alpha
+        self._comm_weight = _COMMUTATOR_TABLE[np.where(anti[:, None, :], g_triple, 4)]
+        self._comm_weight *= self._ct[:, None, None]
         self._single_term_per_alpha = np.array_equal(
             self._alpha, np.arange(len(self.h_terms))
         )
 
         # structural count of nonzero commutator triples for the W threshold:
         # every (i, alpha, j) with [h_alpha, b_j] structurally nonzero
-        anti = (_popcount(xt[:, None] & zb[None, :]) + _popcount(zt[:, None] & xb[None, :])) % 2
         pair_nonzero = np.zeros((len(self.h_terms), r), dtype=bool)
-        np.logical_or.at(pair_nonzero, self._alpha, anti.astype(bool))
+        np.logical_or.at(pair_nonzero, self._alpha, anti)
         self.commutator_term_count = int(r * pair_nonzero.sum())
 
     # -- data-dependent assembly ------------------------------------------
@@ -187,7 +180,7 @@ class MomentAssembler:
         return out
 
     def _commutator_tensor(self, v: np.ndarray) -> np.ndarray:
-        contrib = self._ct[:, None, None] * self._comm_phase * v[self._triple_idx]
+        contrib = self._comm_weight * v[self._triple_idx]
         if self._single_term_per_alpha:
             return contrib
         out = np.zeros((len(self.h_terms), len(self.b), len(self.b)), dtype=complex)
@@ -243,20 +236,21 @@ def delta_from_gram(
     return 0.5 * (delta + delta.conj().T)
 
 
-def build_w(raw_h_mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Gram matrix of the anti-Hermitian defects of the raw moment matrices.
+def build_w(raw_h_mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gram matrix W of the anti-Hermitian defects of the raw moment matrices.
 
-    The spectrum is that of the real part (Hamiltonian coefficients are
-    real), with negative numerical dust clipped to zero.
+    Returns W, then the eigenvalues (ascending) and eigenvectors (columns) of
+    its real part, from one diagonalization: the Hamiltonian coefficients
+    are real.  Negative numerical dust in the eigenvalues is clipped to zero.
     """
     raw = np.asarray(raw_h_mats)
     defects = raw - raw.conj().transpose(0, 2, 1)
     flat = defects.reshape(raw.shape[0], -1)
     w = flat.conj() @ flat.T
-    spectrum = scipy.linalg.eigvalsh(0.5 * (w + w.conj()).real)
+    spectrum, eigenvectors = scipy.linalg.eigh(0.5 * (w + w.conj()).real)
     scale = max(1.0, float(np.abs(spectrum).max())) if spectrum.size else 1.0
     spectrum = np.where((spectrum < 0) & (spectrum > -1e-12 * scale), 0.0, spectrum)
-    return w, spectrum
+    return w, spectrum, eigenvectors
 
 
 def epsilon_w(sigma_noise: float, m: int) -> float:
@@ -267,22 +261,21 @@ def epsilon_w(sigma_noise: float, m: int) -> float:
 
 
 def kernel_basis(
-    w_matrix: np.ndarray,
     spectrum: np.ndarray,
+    eigenvectors: np.ndarray,
     epsilon: float,
     h_expectations: np.ndarray,
     sym_h_mats: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Near-kernel of W: directions whose commutator moments are Hermitian.
 
-    Eigenvectors of the real part of W with eigenvalue below the threshold;
-    q = 0 means no candidate direction survives and the caller terminates
-    with the corresponding verdict.
+    Takes the ascending eigenvalues and the eigenvectors of the real part of
+    W, as ``build_w`` returns them, and keeps the eigenvectors whose
+    eigenvalue is below the threshold; q = 0 means no candidate direction
+    survives and the caller terminates with the corresponding verdict.
     """
-    w_real = 0.5 * (w_matrix + w_matrix.conj()).real
-    evals, evecs = scipy.linalg.eigh(w_real)
-    q = int(np.count_nonzero(evals < epsilon))
-    kernel_coeffs = evecs[:, :q].T.copy()
+    q = int(np.count_nonzero(spectrum < epsilon))
+    kernel_coeffs = eigenvectors[:, :q].T.copy()
     h_tilde_mats = np.einsum("qs,sij->qij", kernel_coeffs, sym_h_mats)
     h_tilde_expectations = kernel_coeffs @ np.asarray(h_expectations)
     return kernel_coeffs, h_tilde_mats, h_tilde_expectations
@@ -308,20 +301,18 @@ def assemble_from_matrices(
     delta = delta_from_gram(gram_sym, coeffs, reversed_products)
     raw = coeffs.conj().T[None, :, :] @ np.asarray(f_stack, dtype=complex) @ coeffs
     sym = 0.5 * (raw + raw.conj().transpose(0, 2, 1))
-    w_matrix, w_spectrum = build_w(raw)
+    w_matrix, w_spectrum, w_eigenvectors = build_w(raw)
     kernel_coeffs, h_tilde_mats, h_tilde_exps = kernel_basis(
-        w_matrix, w_spectrum, epsilon_w_value, h_expectations, sym
+        w_spectrum, w_eigenvectors, epsilon_w_value, h_expectations, sym
     )
     moment_set = MomentSet(
         delta=delta,
-        h_mats=sym,
         raw_h_mats=raw,
         w_matrix=w_matrix,
         w_spectrum=w_spectrum,
         kernel_coeffs=kernel_coeffs,
         h_tilde_mats=h_tilde_mats,
         h_tilde_expectations=h_tilde_exps,
-        h_expectations=np.asarray(h_expectations, dtype=float),
         epsilon_w=epsilon_w_value,
     )
     return ortho, moment_set

@@ -113,10 +113,6 @@ class PauliString:
     def support(self) -> Tuple[int, ...]:
         return tuple(sorted(self.letters))
 
-    @property
-    def weight(self) -> int:
-        return (self.x | self.z).bit_count()
-
     def commutes_with(self, other: "PauliString") -> bool:
         _require_same_n(self, other)
         return ((self.x & other.z).bit_count() + (self.z & other.x).bit_count()) % 2 == 0
@@ -340,12 +336,15 @@ def masks(strings: Sequence[PauliString]) -> Tuple[np.ndarray, np.ndarray]:
 class StringClosure:
     """The distinct strings of a product closure and where each product lands.
 
-    ``strings`` are distinct and sorted by their (x, z) masks.  Every product
-    is an index into them: ``pair_idx[l, k]`` for b_l b_k,
-    ``triple_idx[u, l, k]`` for b_l t_u b_k and ``term_idx[u]`` for t_u.
+    ``strings`` are distinct and sorted by their (x, z) masks, which ``x`` and
+    ``z`` hold as uint64 arrays.  Every product is an index into them:
+    ``pair_idx[l, k]`` for b_l b_k, ``triple_idx[u, l, k]`` for b_l t_u b_k
+    and ``term_idx[u]`` for t_u.
     """
 
     strings: List[PauliString]
+    x: np.ndarray
+    z: np.ndarray
     pair_idx: np.ndarray
     triple_idx: np.ndarray
     term_idx: np.ndarray
@@ -379,9 +378,12 @@ def product_closure(
     first[1:] = (x[1:] != x[:-1]) | (z[1:] != z[:-1])
     inverse = np.empty(len(x), dtype=np.intp)
     inverse[order] = np.cumsum(first) - 1
+    x, z = x[first], z[first]
     pairs, triples = r * r, r * r * u
     return StringClosure(
-        strings=[PauliString(n, *xz) for xz in zip(x[first].tolist(), z[first].tolist())],
+        strings=[PauliString(n, *xz) for xz in zip(x.tolist(), z.tolist())],
+        x=x,
+        z=z,
         pair_idx=inverse[:pairs].reshape(r, r),
         triple_idx=inverse[pairs : pairs + triples].reshape(u, r, r),
         term_idx=inverse[pairs + triples :],
@@ -416,10 +418,8 @@ def string_dense(string: PauliString) -> np.ndarray:
     return mat
 
 
-def dense_matrix(op: PauliOperator, limit: int | None = None) -> np.ndarray:
+def dense_matrix(op: PauliOperator) -> np.ndarray:
     """Dense matrix of a sparse operator; Hermitian when the operator is selfadjoint."""
-    if limit is not None and op.n > limit:
-        raise DenseLimitExceeded(f"n={op.n} exceeds caller limit {limit}")
     _check_dense(op.n)
     dim = 1 << op.n
     out = np.zeros((dim, dim), dtype=complex)

@@ -58,10 +58,6 @@ class DensityMatrix:
             raise ValueError("state is not faithful; log(rho) undefined")
         return (evecs * np.log(evals)) @ evecs.conj().T
 
-    def min_eigenvalue(self) -> float:
-        evals, _ = self.eigensystem()
-        return float(evals.min())
-
 
 def gibbs_density(h: PauliOperator, temperature: float) -> DensityMatrix:
     """rho = exp(-h/T) / tr(exp(-h/T)) by dense Hermitian diagonalization.

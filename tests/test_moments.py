@@ -19,6 +19,7 @@ from gibbslearn.pauli import (
     PauliOperator,
     PauliString,
     all_strings,
+    commutator,
     enumerate_geometric_k_local,
     multiply,
 )
@@ -209,7 +210,7 @@ class TestW:
 
     def test_rank_one_positivity(self, rng):
         raw = rng.normal(size=(1, 5, 5)) + 1j * rng.normal(size=(1, 5, 5))
-        w, spectrum = build_w(raw)
+        w, spectrum, _ = build_w(raw)
         anti = raw[0] - raw[0].conj().T
         assert abs(w[0, 0].real - np.abs(anti) .ravel() @ np.abs(anti).ravel()) < 1e-10
         assert w[0, 0].real >= 0
@@ -247,8 +248,9 @@ class TestEpsilonW:
 class TestKernel:
     def test_zero_w_full_kernel(self):
         w = np.zeros((3, 3))
+        _, evecs = scipy.linalg.eigh(w)
         kc, mats, exps = kernel_basis(
-            w, np.zeros(3), 4e-9, np.array([1.0, 2.0, 3.0]), np.zeros((3, 2, 2))
+            np.zeros(3), evecs, 4e-9, np.array([1.0, 2.0, 3.0]), np.zeros((3, 2, 2))
         )
         assert kc.shape == (3, 3)
         assert np.abs(kc @ kc.T - np.eye(3)).max() < 1e-12
@@ -256,8 +258,9 @@ class TestKernel:
     def test_threshold_split(self):
         w = np.diag([1e-15, 1.0])
         spectrum = np.array([1e-15, 1.0])
+        _, evecs = scipy.linalg.eigh(w)
         kc, mats, exps = kernel_basis(
-            w, spectrum, 4e-9, np.array([0.5, 0.7]), np.zeros((2, 2, 2))
+            spectrum, evecs, 4e-9, np.array([0.5, 0.7]), np.zeros((2, 2, 2))
         )
         assert kc.shape == (1, 2)
         assert abs(abs(kc[0, 0]) - 1.0) < 1e-12
@@ -340,3 +343,56 @@ class TestCommutatorCount:
         asm = MomentAssembler(b, [PauliOperator.from_terms(1, [(1.0, "Z0")])])
         # pairs (alpha=Z, b_j in {X, Y}) anticommute -> 2; times r = 3
         assert asm.commutator_term_count == 6
+
+
+class TestExactAssembly:
+    """The assembler entry by entry against the Pauli algebra, on every string at n=3."""
+
+    @staticmethod
+    def make_case(rng):
+        n = 3
+        b = all_strings(n, include_identity=False)
+        bonds = [
+            PauliOperator.from_terms(
+                n, [(-1.0, f"X{i} X{i+1}"), (-0.7, f"Y{i} Y{i+1}"), (0.3, f"Z{i} Z{i+1}")]
+            )
+            for i in range(n - 1)
+        ]
+        z0 = PauliOperator.from_terms(n, [(0.4, "Z0")])
+        x1y2 = PauliOperator.from_terms(n, [(1.0, "X1 Y2")])
+        h_terms = [z0, bonds[0], x1y2, bonds[1]]
+        asm = MomentAssembler(b, h_terms)
+        h, _, _ = random_k_local_hamiltonian(n, 2, rng, coeff_norm=0.8)
+        exact = build_table(gibbs_density(h, 1.0), asm.required_strings())
+        return b, h_terms, asm, add_noise(exact, 1e-3, 5)
+
+    def test_moments_match_pauli_expansion(self, rng):
+        b, h_terms, asm, table = self.make_case(rng)
+
+        def omega(p, op):
+            """omega(p op) for a string p, one string of op at a time."""
+            total = 0j
+            for string, coeff in op.terms.items():
+                product, phase = multiply(p, string)
+                total += coeff * phase * table.value(product)
+            return total
+
+        ops = [PauliOperator.from_string(q) for q in b]
+        raw = np.array([[omega(p, q) for q in ops] for p in b])
+        gram = 0.5 * (raw + raw.conj().T)
+        f_stack = np.array(
+            [[[omega(bl, commutator(h, bk)) for bk in ops] for bl in b] for h in h_terms]
+        )
+        h_exps = np.array([omega(PauliString.identity(3), h).real for h in h_terms])
+
+        assert np.abs(f_stack).max() > 0.1
+        assert np.abs(asm.gram(table) - gram).max() <= 1e-14
+        assert np.abs(asm.commutator_tensor(table) - f_stack).max() <= 1e-14
+        assert np.abs(asm.h_expectations(table) - h_exps).max() <= 1e-14
+
+    def test_commutator_term_count(self, rng):
+        b, h_terms, asm, _ = self.make_case(rng)
+        pairs = sum(
+            any(not t.commutes_with(bj) for t in h.terms) for h in h_terms for bj in b
+        )
+        assert asm.commutator_term_count == len(b) * pairs
