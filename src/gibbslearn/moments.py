@@ -29,7 +29,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -148,8 +148,8 @@ class MomentAssembler:
 
     # -- data-dependent assembly ------------------------------------------
 
-    def required_strings(self) -> Set[PauliString]:
-        return set(self._strings)
+    def required_strings(self) -> List[PauliString]:
+        return list(self._strings)
 
     def _values(self, table: ExpectationTable) -> np.ndarray:
         out = np.empty(len(self._strings))

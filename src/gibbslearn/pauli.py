@@ -21,8 +21,9 @@ from .errors import DenseLimitExceeded, DimensionMismatch
 PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 
 _LETTER_TO_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-_BITS_TO_LETTER = {(1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
-_WINDOW_LETTERS = ("I", "X", "Z", "Y")  # indexed by x_bit | z_bit << 1
+_CODE_LETTERS = ("I", "X", "Z", "Y")  # indexed by the code x_bit | z_bit << 1
+# rank of each code's letter in the alphabetical order I < X < Y < Z
+_CODE_RANKS = np.array([0, 1, 3, 2], dtype=np.uint8)
 
 DEFAULT_DENSE_LIMIT = 12
 _DENSE_LIMIT_ENV = "GIBBSLEARN_DENSE_LIMIT"
@@ -82,28 +83,29 @@ class PauliString:
         text = text.strip()
         if text in ("", "I"):
             return cls.identity(n)
-        letters = {}
+        x = z = 0
         for token in text.split():
             letter, site = token[0], token[1:]
             if letter not in _LETTER_TO_BITS or not site.isdigit():
                 raise ValueError(f"cannot parse Pauli token {token!r}")
             site = int(site)
-            if site in letters:
+            if site >= n:
+                raise ValueError(f"site {site} outside [0, {n})")
+            if (x | z) >> site & 1:
                 raise ValueError(f"site {site} listed twice in {text!r}")
-            letters[site] = letter
-        return cls.from_letters(n, letters)
+            bx, bz = _LETTER_TO_BITS[letter]
+            x |= bx << site
+            z |= bz << site
+        return cls(n, x, z)
 
     @property
     def letters(self) -> Dict[int, str]:
-        out = {}
         occupied = self.x | self.z
-        site = 0
-        while occupied >> site:
-            if (occupied >> site) & 1:
-                bits = ((self.x >> site) & 1, (self.z >> site) & 1)
-                out[site] = _BITS_TO_LETTER[bits]
-            site += 1
-        return out
+        return {
+            site: _CODE_LETTERS[(self.x >> site & 1) | (self.z >> site & 1) << 1]
+            for site in range(occupied.bit_length())
+            if occupied >> site & 1
+        }
 
     @property
     def is_identity(self) -> bool:
@@ -126,14 +128,21 @@ class PauliString:
         width = occupied.bit_length() - first
         x, z = self.x >> first, self.z >> first
         window = tuple(
-            _WINDOW_LETTERS[(x >> k & 1) | (z >> k & 1) << 1] for k in range(width)
+            _CODE_LETTERS[(x >> k & 1) | (z >> k & 1) << 1] for k in range(width)
         )
         return (1, first, width, window)
 
     def to_text(self) -> str:
-        if self.is_identity:
+        occupied = self.x | self.z
+        if not occupied:
             return "I"
-        return " ".join(f"{letter}{site}" for site, letter in sorted(self.letters.items()))
+        tokens = []
+        while occupied:
+            site = (occupied & -occupied).bit_length() - 1
+            letter = _CODE_LETTERS[(self.x >> site & 1) | (self.z >> site & 1) << 1]
+            tokens.append(f"{letter}{site}")
+            occupied &= occupied - 1
+        return " ".join(tokens)
 
     def __repr__(self):
         return f"PauliString({self.n}, '{self.to_text()}')"
@@ -325,11 +334,39 @@ def enumerate_geometric_k_local(
 MASK_SITE_LIMIT = 64  # masks are held as uint64 words
 
 
+def check_mask_limit(n: int, what: str):
+    """Refuse ``what`` on more sites than a uint64 mask holds."""
+    if n > MASK_SITE_LIMIT:
+        raise ValueError(f"{what} on n={n} sites: masks hold at most {MASK_SITE_LIMIT} sites")
+
+
 def masks(strings: Sequence[PauliString]) -> Tuple[np.ndarray, np.ndarray]:
     """The x and z masks of a list of strings as two uint64 arrays."""
     x = np.array([s.x for s in strings], dtype=np.uint64)
     z = np.array([s.z for s in strings], dtype=np.uint64)
     return x, z
+
+
+def canonical_order(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The permutation that sorts strings, given by their uint64 masks, by ``sort_key``.
+
+    One ``np.lexsort`` over the key's parts: the non-identity flag, the first
+    site, the width, then the letter rank at each site of the window from its
+    first site on.  Every shift is by at most 63 bits.
+    """
+    occupied = x | z
+    non_identity = occupied != 0
+    lowest = occupied & (~occupied + np.uint64(1))
+    first = np.where(non_identity, np.bitwise_count(lowest - np.uint64(1)), 0).astype(np.uint64)
+    smeared = occupied.copy()
+    for shift in (1, 2, 4, 8, 16, 32):
+        smeared |= smeared >> np.uint64(shift)
+    width = np.bitwise_count(smeared).astype(np.uint64) - first
+    sites = np.arange(int(width.max(initial=0)), dtype=np.uint64)
+    xs = (x >> first)[:, None] >> sites & np.uint64(1)
+    zs = (z >> first)[:, None] >> sites & np.uint64(1)
+    ranks = _CODE_RANKS[xs | zs << np.uint64(1)]
+    return np.lexsort((*ranks.T[::-1], width, first, non_identity))
 
 
 @dataclass(frozen=True)
@@ -360,10 +397,7 @@ def product_closure(
     can hold; above that the closure refuses to run.
     """
     n = b[0].n
-    if n > MASK_SITE_LIMIT:
-        raise ValueError(
-            f"string closure on n={n} sites: masks hold at most {MASK_SITE_LIMIT} sites"
-        )
+    check_mask_limit(n, "string closure")
     xb, zb = masks(b)
     xt, zt = masks(terms)
     r, u = len(b), len(terms)
@@ -392,25 +426,23 @@ def product_closure(
 
 # --- dense bridge ---------------------------------------------------------
 
-def _index_masks(string: PauliString) -> Tuple[int, int]:
-    """Translate site bitmasks to computational-basis index bitmasks.
+def index_masks(site_masks: np.ndarray, n: int) -> np.ndarray:
+    """Translate uint64 site bitmasks to computational-basis index bitmasks.
 
     Site 0 is the first tensor factor, i.e. the most significant index bit.
     """
-    n = string.n
-    xi = zi = 0
+    out = np.zeros(site_masks.shape, dtype=np.intp)
     for site in range(n):
-        bit = n - 1 - site
-        xi |= ((string.x >> site) & 1) << bit
-        zi |= ((string.z >> site) & 1) << bit
-    return xi, zi
+        bit = (site_masks >> np.uint64(site) & np.uint64(1)).astype(np.intp)
+        out |= bit << (n - 1 - site)
+    return out
 
 
 def string_dense(string: PauliString) -> np.ndarray:
     """Dense 2^n x 2^n matrix of a single string."""
     _check_dense(string.n)
     dim = 1 << string.n
-    xi, zi = _index_masks(string)
+    xi, zi = index_masks(np.array([string.x, string.z], dtype=np.uint64), string.n).tolist()
     cols = np.arange(dim)
     signs = 1 - 2 * (np.bitwise_count(cols & zi).astype(np.int64) & 1)
     mat = np.zeros((dim, dim), dtype=complex)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,6 +20,9 @@ from .pauli import PauliOperator, PauliString
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
+GATHER_ENTRIES = 1 << 20  # density-matrix entries build_table gathers at once
+
+_PHASE_TABLE = np.array(pauli.PHASES)
 
 
 @dataclass
@@ -63,7 +66,9 @@ def gibbs_density(h: PauliOperator, temperature: float) -> DensityMatrix:
     """rho = exp(-h/T) / tr(exp(-h/T)) by dense Hermitian diagonalization.
 
     The largest eigenvalue of -h/T is subtracted before exponentiating, so
-    the construction cannot overflow.
+    the construction cannot overflow.  A real h matrix (no string with an odd
+    number of Y letters) is diagonalized as a real symmetric one; rho and the
+    cached eigenvectors are complex either way.
     """
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
@@ -72,16 +77,19 @@ def gibbs_density(h: PauliOperator, temperature: float) -> DensityMatrix:
     import scipy.linalg
 
     hmat = pauli.dense_matrix(h)
-    energies, evecs = scipy.linalg.eigh(hmat)
+    if hmat.imag.any():
+        energies, evecs = scipy.linalg.eigh(hmat)
+    else:
+        energies, evecs = scipy.linalg.eigh(hmat.real, driver="evd")
     exponent = -energies / temperature
     exponent -= exponent.max()
     weights = np.exp(exponent)
     weights /= weights.sum()
     rho = (evecs * weights) @ evecs.conj().T
-    out = DensityMatrix(h.n, rho)
+    out = DensityMatrix(h.n, rho.astype(complex, copy=False))
     order = np.argsort(weights)
     out.eigenvalues = weights[order]
-    out.eigenvectors = evecs[:, order]
+    out.eigenvectors = evecs[:, order].astype(complex, copy=False)
     return out
 
 
@@ -89,7 +97,7 @@ def expectation(rho: DensityMatrix, p: PauliString) -> float:
     """tr(rho p), exploiting that a Pauli string has one entry per row."""
     if p.n != rho.n:
         raise DimensionMismatch(f"string on {p.n} sites, state on {rho.n}")
-    xi, zi = pauli._index_masks(p)
+    xi, zi = pauli.index_masks(np.array([p.x, p.z], dtype=np.uint64), p.n).tolist()
     dim = 1 << p.n
     idx = np.arange(dim)
     signs = 1 - 2 * (np.bitwise_count(idx & zi).astype(np.int64) & 1)
@@ -100,18 +108,19 @@ def expectation(rho: DensityMatrix, p: PauliString) -> float:
 
 def required_strings(
     b_basis: Sequence[PauliString], h_terms: Sequence[PauliOperator]
-) -> Set[PauliString]:
-    """Closed set of strings whose expectations determine every moment matrix.
+) -> List[PauliString]:
+    """The distinct strings whose expectations determine every moment matrix.
 
     Products b_i b_j cover the Gram matrix and the modular matrix (reversed
     products share base strings), triple products b_i t b_j with t running
     over the strings of each Hamiltonian term cover the commutator moments,
     and the strings of the terms themselves cover the normalization data.
+    They come in the closure's deterministic (x, z) mask order.
     """
     if not b_basis:
-        return set()
+        return []
     terms = [t for op in h_terms for t in op.terms]
-    return set(pauli.product_closure(b_basis, terms).strings)
+    return pauli.product_closure(b_basis, terms).strings
 
 
 def write_tsv(path, header: Dict[str, object], rows: Iterable[Tuple[str, str]]):
@@ -151,9 +160,9 @@ def read_tsv(path) -> Tuple[Dict[str, str], List[Tuple[str, str]]]:
 class ExpectationTable:
     """Map from Pauli string to a (possibly noisy) expectation value.
 
-    ``values`` is held in canonical string order (``PauliString.sort_key``),
-    whatever order it was given in, so iterating, saving and drawing noise
-    all follow that order.
+    ``values`` is held in canonical string order (``PauliString.sort_key``,
+    computed by ``pauli.canonical_order``), whatever order it was given in,
+    so iterating, saving and drawing noise all follow that order.
     """
 
     n: int
@@ -162,11 +171,16 @@ class ExpectationTable:
     seed: Optional[int] = None
 
     def __post_init__(self):
+        pauli.check_mask_limit(self.n, "expectation table")
         ident = PauliString.identity(self.n)
         if ident in self.values and self.values[ident] != 1.0:
             raise ValueError("identity expectation must be exactly 1")
-        order = sorted(self.values, key=PauliString.sort_key)
-        self.values = {string: self.values[string] for string in order}
+        items = list(self.values.items())
+        order = pauli.canonical_order(*pauli.masks([string for string, _ in items]))
+        if np.any(order != np.arange(len(order))):
+            self.values = dict([items[i] for i in order.tolist()])
+        else:
+            self.values = dict(self.values)
 
     def value(self, string: PauliString) -> float:
         try:
@@ -199,14 +213,50 @@ class ExpectationTable:
 
 
 def build_table(rho: DensityMatrix, strings: Iterable[PauliString]) -> ExpectationTable:
-    """Evaluate every string exactly; identity is pinned to 1."""
-    values = {}
-    for string in strings:
-        if string.is_identity:
-            values[string] = 1.0
-        else:
-            values[string] = expectation(rho, string)
-    return ExpectationTable(rho.n, values, noise_sigma=0.0, seed=None)
+    """Evaluate every string exactly; identity is pinned to 1.
+
+    A string with index masks (xi, zi) and y letters Y has
+    tr(rho p) = Re(i^y sum_i (-1)^popcount(i & zi) rho[i, i ^ xi]), the
+    Walsh-Hadamard transform of the gathered g[i] = rho[i, i ^ xi] read at zi.
+    So one transform per distinct xi serves every string that shares it.
+    The distinct xi, at most 2^n of them, are gathered in blocks of at most
+    ``GATHER_ENTRIES`` entries, so a block never holds more entries than rho.
+    """
+    strings = list(strings)
+    if any(s.n != rho.n for s in strings):
+        raise DimensionMismatch(f"strings and state on different site counts (state: {rho.n})")
+    x, z = pauli.masks(strings)
+    xi = pauli.index_masks(x, rho.n)
+    zi = pauli.index_masks(z, rho.n)
+    x_masks, which = np.unique(xi, return_inverse=True)
+    phases = _PHASE_TABLE[np.bitwise_count(x & z) % 4]
+    dim = 1 << rho.n
+    basis = np.arange(dim)
+    flat = rho.matrix.ravel()
+    values = np.empty(len(strings))
+    per_block = max(1, GATHER_ENTRIES // dim)
+    for start in range(0, len(x_masks), per_block):
+        block = x_masks[start : start + per_block]
+        transformed = _walsh_hadamard(flat[basis * dim + (basis ^ block[:, None])])
+        here = (which >= start) & (which < start + len(block))
+        values[here] = (phases[here] * transformed[which[here] - start, zi[here]]).real
+    values[(x | z) == 0] = 1.0
+    values = values.tolist()
+    in_order = {strings[i]: values[i] for i in pauli.canonical_order(x, z).tolist()}
+    return ExpectationTable(rho.n, in_order, noise_sigma=0.0, seed=None)
+
+
+def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
+    """out[:, k] = sum_i (-1)^popcount(i & k) a[:, i], in place, by butterflies."""
+    rows, dim = a.shape
+    half = 1
+    while half < dim:
+        pairs = a.reshape(rows, -1, 2, half)
+        low = pairs[:, :, 0].copy()
+        pairs[:, :, 0] += pairs[:, :, 1]
+        np.subtract(low, pairs[:, :, 1], out=pairs[:, :, 1])
+        half *= 2
+    return a
 
 
 def add_noise(table: ExpectationTable, sigma: float, seed) -> ExpectationTable:

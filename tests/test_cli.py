@@ -13,7 +13,7 @@ from gibbslearn.cli import (
 )
 from gibbslearn.errors import ConfigError
 from gibbslearn.models import string_basis_operators
-from gibbslearn.pauli import enumerate_geometric_k_local
+from gibbslearn.pauli import PauliString, enumerate_geometric_k_local
 from gibbslearn.states import ExpectationTable, required_strings
 
 
@@ -92,7 +92,9 @@ class TestConfig:
         table_path = out / "table_T1p0.tsv"
         basis = enumerate_geometric_k_local(4, 1)
         expect = required_strings(basis, string_basis_operators(basis))
-        assert set(ExpectationTable.load(table_path).values) == expect
+        assert list(ExpectationTable.load(table_path).values) == sorted(
+            expect, key=PauliString.sort_key
+        )
         # learn reads no config file and defaults to 2-local terms, whose
         # closure needs strings this 1-local table lacks
         assert main(["learn", "--table", str(table_path)]) == 4

@@ -8,9 +8,11 @@ from gibbslearn.pauli import (
     PauliOperator,
     PauliString,
     all_strings,
+    canonical_order,
     commutator,
     dense_matrix,
     enumerate_geometric_k_local,
+    masks,
     multiply,
     product_closure,
     string_dense,
@@ -171,6 +173,38 @@ class TestSortKey:
         assert [s.sort_key() for s in strings] == [letters_sort_key(s) for s in strings]
 
 
+def assert_canonical_order(strings, seed):
+    strings = list(strings)
+    np.random.default_rng(seed).shuffle(strings)
+    got = [strings[i] for i in canonical_order(*masks(strings))]
+    assert got == sorted(strings, key=letters_sort_key)
+
+
+class TestCanonicalOrder:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_string(self, n):
+        assert_canonical_order(
+            [PauliString(n, x, z) for x in range(1 << n) for z in range(1 << n)], n
+        )
+
+    def test_two_local_closure_n6(self):
+        b = enumerate_geometric_k_local(6, 2)
+        assert_canonical_order(product_closure(b, b).strings, 6)
+
+    def test_top_bit_n64(self):
+        # random masks with every bit, the top one included, equally likely,
+        # plus strings whose window starts or ends at site 63
+        rng = np.random.default_rng(64)
+        words = rng.integers(0, 1 << 64, size=(400, 2), dtype=np.uint64, endpoint=False)
+        strings = {PauliString(64, int(x), int(z)) for x, z in words.tolist()}
+        strings |= {PauliString.from_text(t, 64) for t in ("I", "X63", "Y0 Z63", "Z62 Y63")}
+        assert any(s.x >> 63 or s.z >> 63 for s in strings)
+        assert_canonical_order(strings, 64)
+
+    def test_empty(self):
+        assert len(canonical_order(*masks([]))) == 0
+
+
 class TestDense:
     def test_identity(self):
         op = PauliOperator.from_string(PauliString.identity(1))
@@ -227,9 +261,26 @@ class TestOperator:
             assert PauliString.from_text(text, 5).to_text() == text
 
     def test_bad_text(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cannot parse"):
             PauliString.from_text("Q1", 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="listed twice"):
             PauliString.from_text("X0 X0", 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="listed twice"):
+            PauliString.from_text("X1 Z0 Y1", 2)
+        with pytest.raises(ValueError, match="outside"):
             PauliString.from_text("X7", 2)
+        for token in ("X", "Xa", "X-1", "X1.0"):
+            with pytest.raises(ValueError, match="cannot parse"):
+                PauliString.from_text(token, 2)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_text_against_letters(self, n):
+        # to_text and from_text read the masks; the letters map is the reference
+        for x in range(1 << n):
+            for z in range(1 << n):
+                s = PauliString(n, x, z)
+                text = " ".join(f"{s.letters[k]}{k}" for k in sorted(s.letters)) or "I"
+                assert s.to_text() == text
+                assert PauliString.from_text(text, n) == s
+                shuffled = " ".join(reversed(text.split()))
+                assert PauliString.from_text(shuffled, n) == s

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gibbslearn.errors import IncompleteData
+from gibbslearn import states
+from gibbslearn.errors import DimensionMismatch, IncompleteData
 from gibbslearn.models import string_basis_operators, xxz_chain
 from gibbslearn.moments import MomentAssembler
 from gibbslearn.pauli import (
@@ -12,6 +13,7 @@ from gibbslearn.pauli import (
     dense_matrix,
     enumerate_geometric_k_local,
     multiply,
+    product_closure,
 )
 from gibbslearn.states import (
     ExpectationTable,
@@ -24,7 +26,24 @@ from gibbslearn.states import (
     write_tsv,
 )
 
-from oracles import kron_operator
+from oracles import kron_operator, kron_string
+
+
+def asymmetric_chain(n, seed=0):
+    """Unequal XX/YY/ZZ bonds, random X and Z fields and one odd-Y term.
+
+    No reflection of the chain maps it to itself, so a bit-order mistake
+    between sites and basis indices changes its expectations.
+    """
+    rng = np.random.default_rng(seed)
+    terms = [(0.4, "X0 Y1"), (-0.4, "Y0 X1")] if n > 1 else [(0.4, "Y0")]
+    for k in range(n - 1):
+        jx, jy, jz = rng.uniform(0.3, 1.5, size=3)
+        terms += [(-jx, f"X{k} X{k + 1}"), (-jy, f"Y{k} Y{k + 1}"), (-jz, f"Z{k} Z{k + 1}")]
+    for k in range(n):
+        hx, hz = rng.normal(size=2)
+        terms += [(hx, f"X{k}"), (hz, f"Z{k}")]
+    return PauliOperator.from_terms(n, terms)
 
 
 class TestGibbsDensity:
@@ -46,6 +65,24 @@ class TestGibbsDensity:
         ref = scipy.linalg.expm(-dense / t)
         ref /= np.trace(ref)
         assert np.abs(rho.matrix - ref).max() < 1e-12
+
+    def test_odd_y_term_against_expm_oracle(self):
+        # X0 Y1 - Y0 X1 has an imaginary matrix, so h is diagonalized complex
+        h = xxz_chain(3) + PauliOperator.from_terms(3, [(0.6, "X0 Y1"), (-0.6, "Y0 X1")])
+        assert np.abs(dense_matrix(h).imag).max() > 0
+        rho = gibbs_density(h, 1.5)
+        ref = scipy.linalg.expm(-kron_operator(h) / 1.5)
+        ref /= np.trace(ref)
+        assert np.abs(rho.matrix - ref).max() < 1e-12
+        assert np.abs(rho.matrix.imag).max() > 1e-3
+
+    def test_real_hamiltonian_keeps_complex_dtypes(self):
+        rho = gibbs_density(xxz_chain(4), 2.0)
+        assert rho.matrix.dtype == rho.eigenvectors.dtype == np.complex128
+        evals, evecs = rho.eigensystem()
+        assert np.all(np.diff(evals) >= 0)
+        rebuilt = (evecs * evals) @ evecs.conj().T
+        assert np.abs(rebuilt - rho.matrix).max() < 1e-14
 
     def test_commutes_with_hamiltonian(self):
         h = xxz_chain(3)
@@ -148,14 +185,15 @@ class TestRequiredStrings:
         ]
         h = string_basis_operators(b) + straddling
         expect = enumerate_closure(b, h)
-        assert required_strings(b, h) == expect
-        assert MomentAssembler(b, h).required_strings() == expect
+        got = required_strings(b, h)
+        assert len(got) == len(expect) and set(got) == expect
+        assert MomentAssembler(b, h).required_strings() == got
 
     def test_closure_site_limit(self):
         # the top mask bit is a key like any other; one site more is refused
         b = [PauliString.from_text(t, 64) for t in ("X63", "Y0", "Z31 Z32")]
         h = [PauliOperator.from_terms(64, [(1.0, "Y62 Z63")])]
-        assert required_strings(b, h) == enumerate_closure(b, h)
+        assert set(required_strings(b, h)) == enumerate_closure(b, h)
         too_big = [PauliString.from_text("X64", 65)]
         with pytest.raises(ValueError, match="at most 64 sites"):
             required_strings(too_big, [])
@@ -165,13 +203,24 @@ class TestRequiredStrings:
     def test_single_qubit_closure(self):
         b = [PauliString.from_text("X0", 1)]
         h = [PauliOperator.from_terms(1, [(1.0, "Z0")])]
-        got = required_strings(b, h)
+        got = set(required_strings(b, h))
         expect = {PauliString.from_text(t, 1) for t in ("I", "Z0")}
         assert expect <= got <= {PauliString.from_text(t, 1) for t in ("I", "X0", "Y0", "Z0")}
 
     def test_identity_only(self):
         b = [PauliString.identity(2)]
-        assert required_strings(b, []) == {PauliString.identity(2)}
+        assert required_strings(b, []) == [PauliString.identity(2)]
+        assert required_strings([], []) == []
+
+    def test_closure_order(self):
+        # distinct strings, in the closure's (x, z) mask order, on every call
+        b = enumerate_geometric_k_local(5, 2)
+        h = string_basis_operators(b)
+        got = required_strings(b, h)
+        assert got == product_closure(b, b).strings == required_strings(b, h)
+        assert got == MomentAssembler(b, h).required_strings()
+        keys = [(s.x, s.z) for s in got]
+        assert keys == sorted(set(keys))
 
     def test_locality_of_products(self):
         from gibbslearn.pauli import enumerate_geometric_k_local
@@ -193,7 +242,68 @@ class TestRequiredStrings:
                 assert runs <= 3
 
 
+def assert_matches_expectation(table, rho, strings):
+    assert len(table.values) == len(set(strings))
+    for s in strings:
+        ref = 1.0 if s.is_identity else expectation(rho, s)
+        assert abs(table.value(s) - ref) < 1e-14
+    assert table.value(PauliString.identity(rho.n)) == 1.0
+
+
+class TestBuildTable:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_string(self, n):
+        rho = gibbs_density(asymmetric_chain(n), 0.8)
+        strings = all_strings(n)
+        assert_matches_expectation(build_table(rho, strings), rho, strings)
+
+    def test_against_kron_oracle(self):
+        # the Walsh-Hadamard route against literal tensor products
+        rho = gibbs_density(asymmetric_chain(3, seed=1), 1.2)
+        table = build_table(rho, all_strings(3))
+        for s in all_strings(3):
+            ref = np.trace(rho.matrix @ kron_string(s)).real
+            assert abs(table.value(s) - ref) < 1e-14
+
+    def test_two_local_closure_n6(self):
+        rho = gibbs_density(asymmetric_chain(6, seed=2), 1.0)
+        b = enumerate_geometric_k_local(6, 2)
+        strings = required_strings(b, string_basis_operators(b))
+        assert_matches_expectation(build_table(rho, strings), rho, strings)
+
+    def test_block_boundary(self, monkeypatch):
+        # 3 x-masks per gathered block: the distinct x-masks do not fill the last block
+        n = 4
+        rho = gibbs_density(asymmetric_chain(n, seed=3), 1.0)
+        strings = all_strings(n)
+        whole = build_table(rho, strings)
+        monkeypatch.setattr(states, "GATHER_ENTRIES", 3 << n)
+        blocked = build_table(rho, strings)
+        assert (1 << n) % 3 != 0
+        assert list(blocked.values.items()) == list(whole.values.items())
+        assert_matches_expectation(blocked, rho, strings)
+
+    def test_any_input_order(self):
+        rho = gibbs_density(asymmetric_chain(3), 1.0)
+        strings = all_strings(3)
+        shuffled = list(strings)
+        np.random.default_rng(5).shuffle(shuffled)
+        table = build_table(rho, shuffled)
+        assert list(table.values) == strings
+        assert table.values == build_table(rho, set(strings)).values
+
+    def test_rejects_other_site_count(self):
+        rho = gibbs_density(xxz_chain(3), 1.0)
+        with pytest.raises(DimensionMismatch):
+            build_table(rho, [PauliString.from_text("X0", 2)])
+
+
 class TestTable:
+    def test_site_limit(self):
+        ExpectationTable(64, {PauliString.from_text("X63", 64): 0.5})
+        with pytest.raises(ValueError, match="at most 64 sites"):
+            ExpectationTable(65, {})
+
     def test_build_and_lookup(self):
         rho = gibbs_density(xxz_chain(3), 1.0)
         strings = set(all_strings(3))
