@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
-from . import gns, models, moments, states
+from . import gns, models, states
 from .errors import (
     ConfigError,
     DeltaNotPositive,
@@ -92,8 +92,6 @@ class ExperimentConfig:
     runs_per_point: int = 10
     k_local: int = 2
     seed: int = 0
-    include_identity: bool = False
-    project_delta: bool = False
     epsilon_w_override: Optional[float] = None
     workers: int = 1
 
@@ -131,18 +129,10 @@ def _float_list(raw: str) -> List[float]:
     return [float(tok) for tok in raw.replace(",", " ").split()]
 
 
-def _boolean(raw: str) -> bool:
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
-    except KeyError:
-        raise ValueError(f"not a boolean: {raw!r}") from None
-
-
 _READERS = {
     int: int,
     float: float,
     str: str,
-    bool: _boolean,
     Optional[float]: float,
     List[float]: _float_list,
 }
@@ -191,11 +181,9 @@ def _config_from_args(args) -> ExperimentConfig:
     return cfg
 
 
-def _string_basis(
-    n: int, k_local: int, include_identity: bool
-) -> Tuple[List[PauliString], List[PauliOperator]]:
+def _string_basis(n: int, k_local: int) -> Tuple[List[PauliString], List[PauliOperator]]:
     """The geometrically k-local strings, as perturbing operators and as terms."""
-    basis = enumerate_geometric_k_local(n, k_local, include_identity)
+    basis = enumerate_geometric_k_local(n, k_local)
     return basis, models.string_basis_operators(basis)
 
 
@@ -211,7 +199,7 @@ def cmd_gen(args) -> int:
     cfg = _config_from_args(args)
     os.makedirs(args.out, exist_ok=True)
     h_true = cfg.hamiltonian()
-    basis, h_terms = _string_basis(cfg.n, cfg.k_local, cfg.include_identity)
+    basis, h_terms = _string_basis(cfg.n, cfg.k_local)
     needed = states.required_strings(basis, h_terms)
     written = []
     for t in cfg.temperatures:
@@ -249,13 +237,12 @@ def load_truth(path) -> Tuple[int, float, PauliOperator]:
 def cmd_learn(args) -> int:
     table = ExpectationTable.load(args.table)
     k_local = ExperimentConfig.k_local if args.k_local is None else args.k_local
-    basis, h_terms = _string_basis(table.n, k_local, bool(args.include_identity))
-    opts = ReconstructOptions(
-        epsilon_w=args.epsilon_w_override,
-        project_delta=bool(args.project_delta),
-    )
+    basis, h_terms = _string_basis(table.n, k_local)
+    assembler = MomentAssembler(basis, h_terms)
     try:
-        result = reconstruct(table, basis, h_terms, opts)
+        result = reconstruct(
+            table, assembler, ReconstructOptions(epsilon_w=args.epsilon_w_override)
+        )
     except RECONSTRUCTION_FAILURES as exc:
         print(f"reconstruction failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
@@ -274,12 +261,6 @@ def cmd_learn(args) -> int:
         print(f"temperature ratio = {report.temperature_ratio:.6e}")
     if args.out:
         result.save(args.out)
-    if args.dump_spectra:
-        moments.write_spectra_csv(
-            args.dump_spectra,
-            result.diagnostics.gram_eigenvalues,
-            result.diagnostics.w_spectrum,
-        )
     if result.verdict is Verdict.CANDIDATE:
         return 0
     if result.verdict is Verdict.NOT_STATIONARY:
@@ -293,11 +274,9 @@ _WORKER_CTX: dict = {}
 
 
 def _worker_init(cfg: ExperimentConfig, exact_tables: Dict[float, ExpectationTable]):
-    basis, h_terms = _string_basis(cfg.n, cfg.k_local, cfg.include_identity)
+    basis, h_terms = _string_basis(cfg.n, cfg.k_local)
     _WORKER_CTX["cfg"] = cfg
-    _WORKER_CTX["opts"] = ReconstructOptions(
-        epsilon_w=cfg.epsilon_w_override, project_delta=cfg.project_delta
-    )
+    _WORKER_CTX["opts"] = ReconstructOptions(epsilon_w=cfg.epsilon_w_override)
     _WORKER_CTX["assembler"] = MomentAssembler(basis, h_terms)
     _WORKER_CTX["z_true"] = models.coefficient_vector(cfg.hamiltonian(), basis)
     _WORKER_CTX["tables"] = exact_tables
@@ -323,13 +302,7 @@ def _sweep_job(job: Tuple[int, int, int]) -> dict:
     }
     try:
         noisy = add_noise(exact, sigma, seed_seq)
-        result = reconstruct(
-            noisy,
-            _WORKER_CTX["assembler"].b,
-            _WORKER_CTX["assembler"].h_terms,
-            _WORKER_CTX["opts"],
-            assembler=_WORKER_CTX["assembler"],
-        )
+        result = reconstruct(noisy, _WORKER_CTX["assembler"], _WORKER_CTX["opts"])
         record["verdict"] = result.verdict.value
         record["q"] = result.diagnostics.q
         if result.mu_star is not None:
@@ -352,7 +325,7 @@ def run_sweep(cfg: ExperimentConfig) -> Tuple[List[dict], List[dict]]:
     """
     cfg.validate()
     h_true = cfg.hamiltonian()
-    basis, h_terms = _string_basis(cfg.n, cfg.k_local, cfg.include_identity)
+    basis, h_terms = _string_basis(cfg.n, cfg.k_local)
     needed = states.required_strings(basis, h_terms)
     exact_tables = {t: build_table(gibbs_density(h_true, t), needed) for t in cfg.temperatures}
 
@@ -477,10 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     basis = argparse.ArgumentParser(add_help=False)
     basis.add_argument("--k-local", dest="k_local", type=int, default=None)
-    basis.add_argument("--include-identity", action="store_true", default=None)
 
     solver = argparse.ArgumentParser(add_help=False)
-    solver.add_argument("--project-delta", action="store_true", default=None)
     solver.add_argument("--epsilon-w", dest="epsilon_w_override", type=float, default=None)
 
     grid = argparse.ArgumentParser(add_help=False)
@@ -504,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     learn.add_argument("--table", required=True)
     learn.add_argument("--truth", default=None, help="truth file for recovery metrics")
     learn.add_argument("--out", default=None, help="write the result record here")
-    learn.add_argument("--dump-spectra", dest="dump_spectra", default=None)
     learn.set_defaults(func=cmd_learn)
 
     sweep = sub.add_parser(

@@ -42,9 +42,8 @@ class DeltaNotPositive(GibbsLearnError):
     On a self-adjoint string basis the modular matrix is a *-congruence of
     the conjugated Gram matrix, so noise that destroys its positivity
     surfaces first as ``GramDegenerate``.  With the default floors this
-    error is raised only for reversed products supplied separately
-    (``assemble_from_matrices(..., reversed_products=...)``) or by a direct
-    ``log_psd`` call; the offending eigenvalues are attached.
+    error is reachable only through a direct ``log_psd`` call; the
+    offending eigenvalues are attached.
     """
 
     def __init__(self, eigenvalues, floor):

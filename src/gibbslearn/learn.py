@@ -1,10 +1,11 @@
 """End-to-end reconstruction pipeline and recovery metrics.
 
-From an expectation table and the two operator bases to a terminal verdict:
-either no candidate direction is stationary, or the state is certified not
-to be a Gibbs state of anything in the candidate span, or a candidate
-(Hamiltonian coefficients, temperature) pair is returned along with the
-optimization margin and full diagnostics.
+From an expectation table and a moment assembler, which holds the two
+operator bases, to a terminal verdict: either no candidate direction is
+stationary, or the state is certified not to be a Gibbs state of anything
+in the candidate span, or a candidate (Hamiltonian coefficients,
+temperature) pair is returned along with the optimization margin and full
+diagnostics.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 import scipy.linalg
@@ -20,7 +21,7 @@ import scipy.linalg
 from . import sdp as sdp_mod
 from .errors import NormalizationDegenerate, SolverFailure
 from .moments import MomentAssembler
-from .pauli import PauliOperator, PauliString
+from .pauli import PauliOperator
 from .sdp import SdpOptions, SdpProblem, SolverStatus
 from .states import ExpectationTable
 
@@ -83,9 +84,9 @@ class ReconstructionResult:
             handle.write(f"delta_min_eig = {d.delta_min_eig!r}\n")
             handle.write(f"gram_min_eig = {float(d.gram_eigenvalues.min())!r}\n")
             handle.write(f"gram_max_eig = {float(d.gram_eigenvalues.max())!r}\n")
-            handle.write(
-                "w_spectrum = " + " ".join(repr(float(v)) for v in d.w_spectrum) + "\n"
-            )
+            for name in ("gram_eigenvalues", "w_spectrum"):
+                values = " ".join(repr(float(v)) for v in getattr(d, name))
+                handle.write(f"{name} = {values}\n")
             handle.write(f"projected_dim = {'' if d.projected_dim is None else d.projected_dim}\n")
             handle.write(f"solver_status = {d.solver_status or ''}\n")
             handle.write(f"solver_iterations = {d.solver_iterations or 0}\n")
@@ -107,12 +108,13 @@ class RecoveryReport:
 
 def reconstruct(
     table: ExpectationTable,
-    b: Sequence[PauliString],
-    h_terms: Sequence[PauliOperator],
+    assembler: MomentAssembler,
     opts: Optional[ReconstructOptions] = None,
-    assembler: Optional[MomentAssembler] = None,
 ) -> ReconstructionResult:
     """Full pipeline: Gram, orthonormalization, moments, kernel, optimization.
+
+    The assembler holds the perturbing strings and the candidate terms
+    (``assembler.b``, ``assembler.h_terms``); one serves every table.
 
     Degenerate inputs raise (GramDegenerate, NormalizationDegenerate,
     SolverFailure); an empty quasi-symmetry kernel and a certified negative
@@ -123,21 +125,20 @@ def reconstruct(
     default floors DeltaNotPositive cannot occur here.
     """
     opts = opts or ReconstructOptions()
-    asm = assembler if assembler is not None else MomentAssembler(b, h_terms)
-    ortho, moments = asm.moment_set(
+    ortho, moments = assembler.moment_set(
         table, gram_floor=opts.gram_floor, epsilon_w_value=opts.epsilon_w
     )
 
     diag = Diagnostics(
         r=ortho.size,
-        s=len(asm.h_terms),
+        s=len(assembler.h_terms),
         q=moments.q,
         epsilon_w=moments.epsilon_w,
         gram_eigenvalues=ortho.gram_eigenvalues,
         w_spectrum=moments.w_spectrum,
         delta_min_eig=float(scipy.linalg.eigvalsh(moments.delta).min()),
     )
-    labels = [_term_label(op) for op in asm.h_terms]
+    labels = [_term_label(op) for op in assembler.h_terms]
 
     if moments.q == 0:
         return ReconstructionResult(Verdict.NOT_STATIONARY, None, None, None, diag, labels)
@@ -202,7 +203,11 @@ def _term_label(op: PauliOperator) -> str:
 
 
 def recovery_angle(y: np.ndarray, z: np.ndarray) -> float:
-    """Angle between coefficient vectors, insensitive to scale and sign."""
+    """Angle between coefficient vectors, insensitive to scale and sign.
+
+    Computed as atan2 of the parts of y across and along z, which stays
+    accurate near 0 where acos of the cosine loses half the digits.
+    """
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
     if y.shape != z.shape:
@@ -210,8 +215,10 @@ def recovery_angle(y: np.ndarray, z: np.ndarray) -> float:
     ny, nz = np.linalg.norm(y), np.linalg.norm(z)
     if ny == 0 or nz == 0:
         raise ValueError("recovery angle undefined for a zero vector")
-    cosine = min(1.0, abs(float(y @ z)) / (ny * nz))
-    return math.acos(cosine)
+    z_hat = z / nz
+    along = float(y @ z_hat)
+    across = float(np.linalg.norm(y - along * z_hat))
+    return math.atan2(across, abs(along))
 
 
 def temperature_ratio(

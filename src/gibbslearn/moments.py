@@ -26,7 +26,6 @@ anticommute b_l b_k t_u = -b_l t_u b_k, so the weight is 2 i^g.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -223,16 +222,11 @@ def orthonormalize(gram: np.ndarray, gram_floor: Optional[float] = None) -> Orth
     return OrthoBasis(coeffs=coeffs, gram_eigenvalues=evals[::-1].copy())
 
 
-def delta_from_gram(
-    gram_sym: np.ndarray,
-    coeffs: np.ndarray,
-    reversed_products: Optional[np.ndarray] = None,
-) -> np.ndarray:
+def delta_from_gram(gram_sym: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     # omega(a_j a_i^*) expands to (C^dag R^T C)_{ij} with R_{kl} = omega(b_k b_l^*);
-    # for a self-adjoint string basis the reversed products are the Gram data
-    # itself, so R defaults to the (symmetrized) Gram matrix.
-    r_mat = gram_sym if reversed_products is None else reversed_products
-    delta = coeffs.conj().T @ r_mat.T @ coeffs
+    # for a self-adjoint basis the reversed products are the Gram data itself,
+    # R = G, so Delta = C^dag G^T C.
+    delta = coeffs.conj().T @ gram_sym.T @ coeffs
     return 0.5 * (delta + delta.conj().T)
 
 
@@ -287,18 +281,16 @@ def assemble_from_matrices(
     h_expectations: np.ndarray,
     epsilon_w_value: float,
     gram_floor: Optional[float] = None,
-    reversed_products: Optional[np.ndarray] = None,
 ) -> Tuple[OrthoBasis, MomentSet]:
     """Matrix-level pipeline seam: Gram and commutator data already assembled.
 
     The reconstruction outcome depends only on the span of the perturbing
-    operators, so callers may feed data transformed by any invertible
-    recombination of the basis; a non-self-adjoint recombination must supply
-    the reversed products omega(b_k b_l^*) separately.
+    operators, so callers may feed data transformed by any invertible real
+    recombination of the basis, which keeps the operators self-adjoint.
     """
     ortho = orthonormalize(gram_sym, gram_floor=gram_floor)
     coeffs = ortho.coeffs
-    delta = delta_from_gram(gram_sym, coeffs, reversed_products)
+    delta = delta_from_gram(gram_sym, coeffs)
     raw = coeffs.conj().T[None, :, :] @ np.asarray(f_stack, dtype=complex) @ coeffs
     sym = 0.5 * (raw + raw.conj().transpose(0, 2, 1))
     w_matrix, w_spectrum, w_eigenvectors = build_w(raw)
@@ -316,14 +308,3 @@ def assemble_from_matrices(
         epsilon_w=epsilon_w_value,
     )
     return ortho, moment_set
-
-
-def write_spectra_csv(path, gram_eigenvalues, w_spectrum):
-    """Diagnostic dump of both spectra for threshold tuning."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["matrix", "index", "eigenvalue"])
-        for i, value in enumerate(gram_eigenvalues):
-            writer.writerow(["gram", i, repr(float(value))])
-        for i, value in enumerate(w_spectrum):
-            writer.writerow(["w", i, repr(float(value))])

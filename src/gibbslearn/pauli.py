@@ -294,14 +294,12 @@ def commutator(a: PauliOperator, b: PauliOperator) -> PauliOperator:
     return PauliOperator(a.n, acc)
 
 
-def enumerate_geometric_k_local(
-    n: int, k: int, include_identity: bool = False
-) -> List[PauliString]:
+def enumerate_geometric_k_local(n: int, k: int) -> List[PauliString]:
     """All non-identity strings supported on a contiguous window of <= k sites.
 
-    Deterministic canonical order; the identity is excluded unless
-    ``include_identity`` is set (it contributes nothing to commutators but
-    matters for operator counts that include it).
+    Deterministic canonical order.  The identity is left out: as a candidate
+    term it would satisfy the normalization on its own and leave the
+    program's scale arbitrary.
     """
     if not 1 <= k <= n:
         raise ValueError(f"locality k={k} must satisfy 1 <= k <= n={n}")
@@ -324,8 +322,6 @@ def enumerate_geometric_k_local(
                                 assignment[site] = letter
                         out.append(PauliString.from_letters(n, assignment))
     out.sort(key=PauliString.sort_key)
-    if include_identity:
-        out.insert(0, PauliString.identity(n))
     return out
 
 
@@ -438,15 +434,23 @@ def index_masks(site_masks: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _add_string(out: np.ndarray, string: PauliString, coeff: complex = 1.0):
+    """Add coeff times the string's matrix to ``out``: one entry per column.
+
+    Column c holds i^(number of Y letters) (-1)^popcount(c & z) in row c ^ x,
+    with x and z the string's basis-index masks.
+    """
+    cols = np.arange(out.shape[0])
+    xi, zi = index_masks(np.array([string.x, string.z], dtype=np.uint64), string.n).tolist()
+    signs = 1 - 2 * (np.bitwise_count(cols & zi).astype(np.int64) & 1)
+    out[cols ^ xi, cols] += coeff * PHASES[(string.x & string.z).bit_count() % 4] * signs
+
+
 def string_dense(string: PauliString) -> np.ndarray:
     """Dense 2^n x 2^n matrix of a single string."""
     _check_dense(string.n)
-    dim = 1 << string.n
-    xi, zi = index_masks(np.array([string.x, string.z], dtype=np.uint64), string.n).tolist()
-    cols = np.arange(dim)
-    signs = 1 - 2 * (np.bitwise_count(cols & zi).astype(np.int64) & 1)
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[cols ^ xi, cols] = PHASES[(string.x & string.z).bit_count() % 4] * signs
+    mat = np.zeros((1 << string.n, 1 << string.n), dtype=complex)
+    _add_string(mat, string)
     return mat
 
 
@@ -456,7 +460,7 @@ def dense_matrix(op: PauliOperator) -> np.ndarray:
     dim = 1 << op.n
     out = np.zeros((dim, dim), dtype=complex)
     for string, coeff in op.terms.items():
-        out += coeff * string_dense(string)
+        _add_string(out, string, coeff)
     return out
 
 

@@ -43,6 +43,13 @@ from .errors import DeltaNotPositive, NormalizationDegenerate
 
 HERMITICITY_TOL = 1e-10
 PIVOT_TOL = 1e-12
+# acceptance tolerances on the relative KKT residuals; the iteration itself
+# runs to the tighter SOLVE_TOL so that a returned point clears them
+FEAS_TOL = 1e-8
+GAP_TOL = 1e-8
+SOLVE_TOL = 1e-9
+MAX_ITERATIONS = 200
+STEP_FRACTION = 0.98  # share of the step to the cone boundary taken
 
 
 class SolverStatus(str, Enum):
@@ -53,10 +60,6 @@ class SolverStatus(str, Enum):
 
 @dataclass
 class SdpOptions:
-    feas_tol: float = 1e-8
-    gap_tol: float = 1e-8
-    max_iterations: int = 200
-    step_fraction: float = 0.98
     fixed_temperature: Optional[float] = None  # variant: pin T, drop normalization
 
 
@@ -167,10 +170,6 @@ def _solve_standard(
     f0: np.ndarray,
     g_stack: np.ndarray,
     cvec: np.ndarray,
-    feas_tol: float,
-    gap_tol: float,
-    max_iterations: int,
-    step_fraction: float,
 ):
     """min c'x  s.t.  S = sum_k x_k F_k - F0 >= 0  and  s = sum_k x_k g_k >= 0.
 
@@ -219,14 +218,14 @@ def _solve_standard(
     note = ""
     best = None  # (score, x, z, res_p, res_d, rel_gap)
     it = 0
-    for it in range(1, max_iterations + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         r_dual, r_dual_d, comp, pobj, res_p, res_d, rel_gap = residuals(
             x, z_mat, z_diag, s_mat, s_diag
         )
         score = max(res_p, res_d, rel_gap)
         if best is None or score < best[0]:
             best = (score, x.copy(), z_mat.copy(), res_p, res_d, rel_gap)
-        if res_d <= feas_tol and res_p <= feas_tol and rel_gap <= gap_tol:
+        if res_d <= SOLVE_TOL and res_p <= SOLVE_TOL and rel_gap <= SOLVE_TOL:
             break
         if abs(pobj) > 1e12 * (1.0 + norm_f0 + norm_fk):
             note = "objective diverging; program appears unbounded"
@@ -285,8 +284,8 @@ def _solve_standard(
             dz_ratio = np.diag(nu / d**2 - 1.0) - ds_ratio
             lam_s = np.min(ds_d / s_diag, initial=scipy.linalg.eigvalsh(ds_ratio)[0])
             lam_z = np.min(dz_d / z_diag, initial=scipy.linalg.eigvalsh(dz_ratio)[0])
-            alpha_s = min(1.0, step_fraction * _step_to_boundary(lam_s))
-            alpha_z = min(1.0, step_fraction * _step_to_boundary(lam_z))
+            alpha_s = min(1.0, STEP_FRACTION * _step_to_boundary(lam_s))
+            alpha_z = min(1.0, STEP_FRACTION * _step_to_boundary(lam_z))
             return dx, ds_scaled, ds_d, dz_d, alpha_s, alpha_z
 
         # predictor pass sets the adaptive centering weight; <Z, S> is
@@ -298,7 +297,7 @@ def _solve_standard(
             np.diag(d) + alpha_s * dsa, s_diag + alpha_s * dsa_d,
         )
         sigma = min(1.0, max(1e-10, (max(comp_aff, 0.0) / comp) ** 3))
-        if max(res_p, res_d) > 10.0 * feas_tol:
+        if max(res_p, res_d) > 10.0 * SOLVE_TOL:
             sigma = max(sigma, 1e-2)  # keep centering while still infeasible
 
         nu = sigma * comp / nu_dim
@@ -378,10 +377,8 @@ def solve(problem: SdpProblem) -> SdpSolution:
     cvec = np.zeros(f_stack.shape[0])
     cvec[-1] = -1.0  # maximize mu
 
-    solve_feas = min(opts.feas_tol, 1e-9)
-    solve_gap = min(opts.gap_tol, 1e-9)
     x, certificate, iterations, res_p, res_d, rel_gap, note = _solve_standard(
-        f_stack, f0, g_stack, cvec, solve_feas, solve_gap, opts.max_iterations, opts.step_fraction
+        f_stack, f0, g_stack, cvec
     )
 
     if fixed_t is None:
@@ -409,10 +406,10 @@ def solve(problem: SdpProblem) -> SdpSolution:
 
     residuals = KktResiduals(primal=float(res_p), dual=float(res_d), gap=float(rel_gap))
     ok = (
-        res_p <= opts.feas_tol
-        and res_d <= opts.feas_tol
-        and rel_gap <= opts.gap_tol
-        and lambda_gap <= 1e4 * scale * max(opts.gap_tol, rel_gap)
+        res_p <= FEAS_TOL
+        and res_d <= FEAS_TOL
+        and rel_gap <= GAP_TOL
+        and lambda_gap <= 1e4 * scale * max(GAP_TOL, rel_gap)
     )
     if note.startswith("objective diverging"):
         status = SolverStatus.INFEASIBLE

@@ -46,7 +46,7 @@ def test_criterion_1_full_span_recovery():
             for temperature in (0.5, 1.0, 2.0):
                 rho = gibbs_density(h, temperature)
                 table = build_table(rho, asm.required_strings())
-                result = reconstruct(table, b, h_terms, assembler=asm)
+                result = reconstruct(table, asm)
                 assert result.verdict is Verdict.CANDIDATE
                 report = evaluate_recovery(result, z, temperature)
                 worst["theta"] = max(worst["theta"], report.theta)
@@ -81,7 +81,7 @@ def test_criterion_2_feasibility_restricted_span():
             temperature = temperatures[case % len(temperatures)]
             rho = gibbs_density(h, temperature)
             table = build_table(rho, asm.required_strings())
-            result = reconstruct(table, b, h_terms, assembler=asm)
+            result = reconstruct(table, asm)
             assert result.mu_star is not None
             worst_mu = min(worst_mu, result.mu_star)
             count += 1

@@ -76,6 +76,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="bogus"):
             load_config(path)
 
+    @pytest.mark.parametrize("key", ["include_identity", "project_delta"])
+    def test_removed_key_is_config_error(self, tmp_path, capsys, key):
+        path = tmp_path / "exp.ini"
+        path.write_text(f"[experiment]\nn = 4\n{key} = false\n")
+        assert main(["gen", "--config", str(path), "--out", str(tmp_path / "x")]) == 4
+        assert f"{key}: unknown key" in capsys.readouterr().err
+
     def test_bad_value_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "exp.ini"
         path.write_text("[experiment]\nn = four\n")
@@ -273,17 +280,17 @@ class TestParser:
         parser = build_parser()
         args = parser.parse_args(
             ["gen", "--n", "6", "--xxz-delta", "0.5", "--k-local", "2", "--temperatures",
-             "1.0", "--sigma", "1e-08", "--seed", "3", "--include-identity", "--out", "t"]
+             "1.0", "--sigma", "1e-08", "--seed", "3", "--out", "t"]
         )
         assert args.n == 6 and args.sigma == 1e-8 and args.temperatures == [1.0]
         args = parser.parse_args(
             ["learn", "--table", "t.tsv", "--truth", "h.txt", "--k-local", "2", "--out",
-             "r.txt", "--project-delta", "--epsilon-w", "1e-6", "--dump-spectra", "s.csv"]
+             "r.txt", "--epsilon-w", "1e-6"]
         )
-        assert args.table == "t.tsv" and args.project_delta and args.epsilon_w_override == 1e-6
+        assert args.table == "t.tsv" and args.epsilon_w_override == 1e-6
         args = parser.parse_args(
             ["sweep", "--n", "3", "--sigma-grid", "1e-5", "--runs-per-point", "2",
-             "--workers", "2", "--project-delta", "--out-dir", "/tmp/x"]
+             "--workers", "2", "--out-dir", "/tmp/x"]
         )
         assert args.n == 3 and args.out_dir == "/tmp/x" and args.workers == 2
         args = parser.parse_args(["verify", "--n", "3", "--instances", "5"])
@@ -296,6 +303,11 @@ class TestParser:
             ["learn", "--table", "t.tsv", "--n", "6"],
             ["sweep", "--out-dir", "x", "--table", "t.tsv"],
             ["verify", "--k-local", "2"],
+            # removed options
+            ["learn", "--table", "t.tsv", "--include-identity"],
+            ["learn", "--table", "t.tsv", "--project-delta"],
+            ["learn", "--table", "t.tsv", "--dump-spectra", "x"],
+            ["gen", "--out", "t", "--include-identity"],
         ],
     )
     def test_unread_flag_rejected(self, argv, capsys):

@@ -26,11 +26,17 @@ from gibbslearn.states import add_noise, build_table, gibbs_density
 class TestMetrics:
     def test_angle_basic(self):
         y = np.array([1.0, 2.0])
-        assert recovery_angle(y, y) <= 1e-7  # acos roundoff near 1
+        assert recovery_angle(y, y) <= 1e-7
         assert recovery_angle(y, -y) <= 1e-7  # sign-insensitive
         assert recovery_angle(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(
             math.pi / 2
         )
+
+    def test_angle_resolves_small_angles(self):
+        # acos of the cosine rounds every angle below about 1e-8 to 0
+        y = np.array([1.0, 1e-9])
+        assert recovery_angle(y, np.array([1.0, 0.0])) == pytest.approx(1e-9, rel=1e-6)
+        assert recovery_angle(-3.0 * y, np.array([2.0, 0.0])) == pytest.approx(1e-9, rel=1e-6)
 
     def test_angle_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -58,7 +64,7 @@ class TestReconstructSmall:
         h_terms = string_basis_operators(b)
         asm = MomentAssembler(b, h_terms)
         table = build_table(rho, asm.required_strings())
-        result = reconstruct(table, b, h_terms, assembler=asm)
+        result = reconstruct(table, asm)
         assert result.verdict is Verdict.CANDIDATE
         z = coefficient_vector(h, b)
         report = evaluate_recovery(result, z, 1.0)
@@ -73,7 +79,7 @@ class TestReconstructSmall:
         asm = MomentAssembler(b, h_terms)
         table = build_table(rho, asm.required_strings())
         with pytest.raises(NormalizationDegenerate):
-            reconstruct(table, b, h_terms, assembler=asm)
+            reconstruct(table, asm)
 
     def test_maximally_mixed_fixed_temperature_fallback(self):
         rho = gibbs_density(PauliOperator.zero(2), 1.0)
@@ -82,7 +88,7 @@ class TestReconstructSmall:
         asm = MomentAssembler(b, h_terms)
         table = build_table(rho, asm.required_strings())
         opts = ReconstructOptions(fixed_temperature_fallback=1.0)
-        result = reconstruct(table, b, h_terms, opts, assembler=asm)
+        result = reconstruct(table, asm, opts)
         # every probed term is a symmetry of the tracial state, so the whole
         # candidate space survives, and the zero Hamiltonian fits with margin 0
         assert result.diagnostics.q == len(h_terms)
@@ -98,7 +104,7 @@ class TestReconstructSmall:
         h_terms = [PauliOperator.from_terms(1, [(1.0, "X0")])]
         asm = MomentAssembler(b, h_terms)
         table = build_table(rho, asm.required_strings())
-        result = reconstruct(table, b, h_terms, assembler=asm)
+        result = reconstruct(table, asm)
         assert result.verdict is Verdict.NOT_STATIONARY
         assert result.diagnostics.q == 0
         assert result.y_star is None
@@ -114,7 +120,7 @@ class TestReconstructSmall:
         for c in (1.0, 2.5):
             rho = gibbs_density(c * h, c * 1.2)
             table = build_table(rho, asm.required_strings())
-            result = reconstruct(table, b, h_terms, assembler=asm)
+            result = reconstruct(table, asm)
             report = evaluate_recovery(result, z, 1.2)
             outputs.append((result.verdict, report.theta))
         assert outputs[0][0] == outputs[1][0] == Verdict.CANDIDATE
@@ -131,7 +137,7 @@ class TestReconstructSmall:
             asm = MomentAssembler(b, h_terms)
             rho = gibbs_density(h, 1.5)
             table = build_table(rho, asm.required_strings())
-            result = reconstruct(table, b, h_terms, assembler=asm)
+            result = reconstruct(table, asm)
             assert result.verdict is Verdict.CANDIDATE
             assert result.mu_star >= -1e-7
 
@@ -154,9 +160,9 @@ class TestReconstructSmall:
         kept = int(np.count_nonzero(evals > floor))
         assert 0 < kept < len(b)
         with pytest.raises(DeltaNotPositive):
-            reconstruct(table, b, h_terms, ReconstructOptions(delta_floor=floor), assembler=asm)
+            reconstruct(table, asm, ReconstructOptions(delta_floor=floor))
         opts = ReconstructOptions(delta_floor=floor, project_delta=True)
-        result = reconstruct(table, b, h_terms, opts, assembler=asm)
+        result = reconstruct(table, asm, opts)
         assert result.verdict in (Verdict.CANDIDATE, Verdict.NOT_GIBBS)
         assert result.diagnostics.projected_dim == kept
 
@@ -183,7 +189,7 @@ class TestReconstructSmall:
         asm = MomentAssembler(b, h_terms)
         table = build_table(rho, asm.required_strings())
         try:
-            result = reconstruct(table, b, h_terms, assembler=asm)
+            result = reconstruct(table, asm)
             assert result.verdict in (Verdict.NOT_GIBBS, Verdict.CANDIDATE)
             if result.verdict is Verdict.CANDIDATE:
                 # an almost-pure state can only pass with a huge inverse
@@ -204,7 +210,7 @@ class TestCentralPath:
         asm = MomentAssembler(b, h_terms)
         exact = build_table(gibbs_density(xxz_chain(n, 0.5), 1.0), asm.required_strings())
         table = add_noise(exact, 1e-8, np.random.SeedSequence(0))
-        result = reconstruct(table, b, h_terms, assembler=asm)
+        result = reconstruct(table, asm)
         assert result.verdict is Verdict.CANDIDATE
         assert result.diagnostics.solver_iterations == 13
         assert result.t_star == pytest.approx(0.203138265318453, rel=1e-8)
@@ -218,7 +224,7 @@ class TestResultSerialization:
         h_terms = string_basis_operators(b)
         asm = MomentAssembler(b, h_terms)
         table = build_table(rho, asm.required_strings())
-        result = reconstruct(table, b, h_terms, assembler=asm)
+        result = reconstruct(table, asm)
         path = tmp_path / "result.txt"
         result.save(path)
         text = path.read_text()
@@ -230,8 +236,12 @@ class TestResultSerialization:
             "epsilon_w = ",
             "delta_min_eig = ",
             "gram_min_eig = ",
+            "gram_eigenvalues = ",
             "w_spectrum = ",
             "solver_status = Optimal",
             "coeff.Z0 = ",
         ):
             assert key in text, key
+        line = next(l for l in text.splitlines() if l.startswith("gram_eigenvalues = "))
+        values = [float(v) for v in line.partition(" = ")[2].split()]
+        assert values == result.diagnostics.gram_eigenvalues.tolist()

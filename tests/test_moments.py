@@ -12,7 +12,6 @@ from gibbslearn.moments import (
     epsilon_w,
     kernel_basis,
     orthonormalize,
-    write_spectra_csv,
 )
 from gibbslearn.models import random_k_local_hamiltonian, string_basis_operators, xxz_chain
 from gibbslearn.pauli import (
@@ -188,9 +187,11 @@ class TestModularCongruence:
                         outcomes["gram_degenerate"] += 1
                         continue
                     outcomes["positive"] += 1
-                    # R_kl = omega(b_k b_l^*) = swapped[l, k]
+                    # Delta_ij = omega(a_j a_i^*) = (C^dag R^T C)_ij with the reversed
+                    # products R_kl = omega(b_k b_l^*) = swapped[l, k], read off the table
                     delta = delta_from_gram(gram, ortho.coeffs)
-                    delta_rev = delta_from_gram(gram, ortho.coeffs, reversed_products=swapped.T)
+                    delta_rev = ortho.coeffs.conj().T @ swapped @ ortho.coeffs
+                    delta_rev = 0.5 * (delta_rev + delta_rev.conj().T)
                     assert np.abs(delta - delta_rev).max() <= 1e-12 * np.abs(delta).max()
                     g_evals = ortho.gram_eigenvalues
                     bound = g_evals[-1] / g_evals[0]
@@ -299,14 +300,12 @@ class TestBasisIndependence:
 
         _, base = assemble_from_matrices(gram, f_stack, h_exps, eps)
 
-        mix = rng.normal(size=(len(b), len(b))) + 1j * rng.normal(size=(len(b), len(b)))
-        gram_mixed = mix.conj() @ gram @ mix.T
-        f_mixed = np.einsum("lk,skm,nm->sln", mix.conj(), f_stack, mix, optimize=True)
-        # reversed products transform with the unconjugated mixing
-        reversed_mixed = mix @ gram @ mix.conj().T
-        _, mixed = assemble_from_matrices(
-            gram_mixed, f_mixed, h_exps, eps, reversed_products=reversed_mixed
-        )
+        # a real recombination keeps the operators self-adjoint, so the
+        # reversed products stay the transposed Gram matrix
+        mix = rng.normal(size=(len(b), len(b)))
+        gram_mixed = mix @ gram @ mix.T
+        f_mixed = np.einsum("lk,skm,nm->sln", mix, f_stack, mix, optimize=True)
+        _, mixed = assemble_from_matrices(gram_mixed, f_mixed, h_exps, eps)
 
         assert base.q == mixed.q
         # the compressed modular spectra agree (same span)
@@ -325,15 +324,6 @@ class TestBasisIndependence:
         y1 = base.kernel_coeffs.T @ sol1.y_star
         y2 = mixed.kernel_coeffs.T @ sol2.y_star
         assert np.abs(y1 - y2).max() < 1e-6
-
-
-class TestDiagnostics:
-    def test_spectra_csv(self, tmp_path):
-        path = tmp_path / "spectra.csv"
-        write_spectra_csv(path, [3.0, 1.0], [0.0, 2.0])
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "matrix,index,eigenvalue"
-        assert len(lines) == 5
 
 
 class TestCommutatorCount:
