@@ -8,6 +8,7 @@ A brute-force GNS oracle provides independent ground truth at small sizes.
 """
 
 from .errors import (
+    BadTable,
     ConfigError,
     DeltaNotPositive,
     DenseLimitExceeded,

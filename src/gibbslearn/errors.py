@@ -21,6 +21,10 @@ class IncompleteData(GibbsLearnError):
         super().__init__(f"expectation table has no entry for '{pauli_text}'")
 
 
+class BadTable(GibbsLearnError, ValueError):
+    """A table file that does not parse or breaks a rule of ``ExpectationTable``."""
+
+
 class GramDegenerate(GibbsLearnError):
     """The Gram matrix of the perturbing operators is numerically singular.
 

@@ -33,8 +33,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 import scipy.linalg
 
-from .errors import GramDegenerate
-from .pauli import PHASES, PauliOperator, PauliString, masks, product_closure
+from .errors import DimensionMismatch, GramDegenerate
+from .pauli import PHASES, PauliOperator, PauliString, from_masks, masks, product_closure
 from .states import ExpectationTable
 
 DEFAULT_GRAM_FLOOR_REL = 1e-10
@@ -106,7 +106,7 @@ class MomentAssembler:
         self._ct = np.array(ct, dtype=float)
 
         closure = product_closure(self.b, strings)
-        self._strings = closure.strings
+        self._x, self._z = closure.x, closure.z
         self._pair_idx = closure.pair_idx
         self._triple_idx = closure.triple_idx  # (u, l, k)
         self._term_idx = closure.term_idx
@@ -117,7 +117,7 @@ class MomentAssembler:
         xt, zt = masks(strings)
         r = len(self.b)
         y_b, y_t = np.bitwise_count(xb & zb), np.bitwise_count(xt & zt)
-        y_closure = np.bitwise_count(closure.x & closure.z)
+        y_closure = np.bitwise_count(self._x & self._z)
         zx_bb = np.bitwise_count(zb[:, None] & xb[None, :])  # (l, k)
         zx_bt = np.bitwise_count(zb[None, :] & xt[:, None])  # (u, l)
         zx_tb = np.bitwise_count(zt[:, None] & xb[None, :])  # (u, k)
@@ -148,13 +148,12 @@ class MomentAssembler:
     # -- data-dependent assembly ------------------------------------------
 
     def required_strings(self) -> List[PauliString]:
-        return list(self._strings)
+        return from_masks(self.n, self._x, self._z)
 
     def _values(self, table: ExpectationTable) -> np.ndarray:
-        out = np.empty(len(self._strings))
-        for i, string in enumerate(self._strings):
-            out[i] = table.value(string)
-        return out
+        if table.n != self.n:
+            raise DimensionMismatch(f"table on {table.n} sites, assembler on {self.n}")
+        return table.lookup(self._x, self._z)
 
     def gram(self, table: ExpectationTable) -> np.ndarray:
         """G_ij = omega(b_i^* b_j), symmetrized to absorb noise asymmetry."""

@@ -64,20 +64,6 @@ class PauliString:
         return cls(n, 0, 0)
 
     @classmethod
-    def from_letters(cls, n: int, letters: Mapping[int, str]) -> "PauliString":
-        x = z = 0
-        for site, letter in letters.items():
-            if not 0 <= site < n:
-                raise ValueError(f"site {site} outside [0, {n})")
-            try:
-                bx, bz = _LETTER_TO_BITS[letter]
-            except KeyError:
-                raise ValueError(f"unknown Pauli letter {letter!r}") from None
-            x |= bx << site
-            z |= bz << site
-        return cls(n, x, z)
-
-    @classmethod
     def from_text(cls, text: str, n: int) -> "PauliString":
         """Parse the textual format, e.g. "X0 X1", "Z4" or "I"."""
         text = text.strip()
@@ -304,25 +290,14 @@ def enumerate_geometric_k_local(n: int, k: int) -> List[PauliString]:
     if not 1 <= k <= n:
         raise ValueError(f"locality k={k} must satisfy 1 <= k <= n={n}")
     out = []
-    letters_nontrivial = ("X", "Y", "Z")
-    letters_all = ("I", "X", "Y", "Z")
     for width in range(1, k + 1):
-        for first in range(n - width + 1):
-            if width == 1:
-                for letter in letters_nontrivial:
-                    out.append(PauliString.from_letters(n, {first: letter}))
-                continue
-            interior = range(first + 1, first + width - 1)
-            for left in letters_nontrivial:
-                for mid in itertools.product(letters_all, repeat=len(interior)):
-                    for right in letters_nontrivial:
-                        assignment = {first: left, first + width - 1: right}
-                        for site, letter in zip(interior, mid):
-                            if letter != "I":
-                                assignment[site] = letter
-                        out.append(PauliString.from_letters(n, assignment))
-    out.sort(key=PauliString.sort_key)
-    return out
+        # each site's letter code is x_bit | z_bit << 1; both ends are non-identity
+        for codes in itertools.product(range(4), repeat=width):
+            if codes[0] and codes[-1]:
+                x = sum((code & 1) << site for site, code in enumerate(codes))
+                z = sum((code >> 1) << site for site, code in enumerate(codes))
+                out += [PauliString(n, x << first, z << first) for first in range(n - width + 1)]
+    return sorted(out, key=PauliString.sort_key)
 
 
 # --- mask arrays and the required-string closure --------------------------
@@ -331,9 +306,9 @@ MASK_SITE_LIMIT = 64  # masks are held as uint64 words
 
 
 def check_mask_limit(n: int, what: str):
-    """Refuse ``what`` on more sites than a uint64 mask holds."""
-    if n > MASK_SITE_LIMIT:
-        raise ValueError(f"{what} on n={n} sites: masks hold at most {MASK_SITE_LIMIT} sites")
+    """Refuse ``what`` on no sites or on more sites than a uint64 mask holds."""
+    if not 1 <= n <= MASK_SITE_LIMIT:
+        raise ValueError(f"{what} on n={n} sites: masks hold 1 to at most {MASK_SITE_LIMIT} sites")
 
 
 def masks(strings: Sequence[PauliString]) -> Tuple[np.ndarray, np.ndarray]:
@@ -341,6 +316,26 @@ def masks(strings: Sequence[PauliString]) -> Tuple[np.ndarray, np.ndarray]:
     x = np.array([s.x for s in strings], dtype=np.uint64)
     z = np.array([s.z for s in strings], dtype=np.uint64)
     return x, z
+
+
+def from_masks(n: int, x: np.ndarray, z: np.ndarray) -> List[PauliString]:
+    """The strings of two uint64 mask arrays, in their order; the inverse of ``masks``."""
+    return [PauliString(n, *xz) for xz in zip(x.tolist(), z.tolist())]
+
+
+def unique_masks(x: np.ndarray, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct strings of two mask arrays, sorted by (x, z), and where each lands.
+
+    Returns their masks and ``inverse``: (x, z)[i] is the ``inverse[i]``-th
+    of them.  One ``np.lexsort`` and a cumsum.
+    """
+    order = np.lexsort((z, x))
+    x, z = x[order], z[order]
+    first = np.ones(len(x), dtype=bool)
+    first[1:] = (x[1:] != x[:-1]) | (z[1:] != z[:-1])
+    inverse = np.empty(len(x), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return x[first], z[first], inverse
 
 
 def canonical_order(x: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -369,13 +364,11 @@ def canonical_order(x: np.ndarray, z: np.ndarray) -> np.ndarray:
 class StringClosure:
     """The distinct strings of a product closure and where each product lands.
 
-    ``strings`` are distinct and sorted by their (x, z) masks, which ``x`` and
-    ``z`` hold as uint64 arrays.  Every product is an index into them:
-    ``pair_idx[l, k]`` for b_l b_k, ``triple_idx[u, l, k]`` for b_l t_u b_k
-    and ``term_idx[u]`` for t_u.
+    ``x`` and ``z`` hold the distinct strings' uint64 masks, sorted by (x, z).
+    Every product is an index into them: ``pair_idx[l, k]`` for b_l b_k,
+    ``triple_idx[u, l, k]`` for b_l t_u b_k and ``term_idx[u]`` for t_u.
     """
 
-    strings: List[PauliString]
     x: np.ndarray
     z: np.ndarray
     pair_idx: np.ndarray
@@ -392,26 +385,18 @@ def product_closure(
     pair itself, so distinct strings never share a key for any n the masks
     can hold; above that the closure refuses to run.
     """
-    n = b[0].n
-    check_mask_limit(n, "string closure")
+    check_mask_limit(b[0].n, "string closure")
     xb, zb = masks(b)
     xt, zt = masks(terms)
     r, u = len(b), len(terms)
     x_pair = xb[:, None] ^ xb[None, :]
     z_pair = zb[:, None] ^ zb[None, :]
-    x = np.concatenate([x_pair.ravel(), (xt[:, None, None] ^ x_pair).ravel(), xt])
-    z = np.concatenate([z_pair.ravel(), (zt[:, None, None] ^ z_pair).ravel(), zt])
-
-    order = np.lexsort((z, x))
-    x, z = x[order], z[order]
-    first = np.ones(len(x), dtype=bool)
-    first[1:] = (x[1:] != x[:-1]) | (z[1:] != z[:-1])
-    inverse = np.empty(len(x), dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    x, z = x[first], z[first]
+    x, z, inverse = unique_masks(
+        np.concatenate([x_pair.ravel(), (xt[:, None, None] ^ x_pair).ravel(), xt]),
+        np.concatenate([z_pair.ravel(), (zt[:, None, None] ^ z_pair).ravel(), zt]),
+    )
     pairs, triples = r * r, r * r * u
     return StringClosure(
-        strings=[PauliString(n, *xz) for xz in zip(x.tolist(), z.tolist())],
         x=x,
         z=z,
         pair_idx=inverse[:pairs].reshape(r, r),

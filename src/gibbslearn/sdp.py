@@ -454,7 +454,7 @@ class ResidualReport:
     complementary_slackness: float
     duality_gap: float
 
-    def worst_violation(self, feas_tol: float = 1e-7) -> float:
+    def worst_violation(self) -> float:
         return max(
             max(0.0, -self.lmi_min_eig),
             self.normalization_residual,

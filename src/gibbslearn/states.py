@@ -2,20 +2,20 @@
 
 States are prepared by dense Hermitian diagonalization, which also yields
 log(rho) for free.  Expectation tables are the algorithm's only window onto
-the state: a map from Pauli string to a real number, optionally corrupted by
-independent Gaussian noise of a given standard deviation.
+the state: Pauli strings, as bit masks, and their values, optionally
+corrupted by independent Gaussian noise of a given standard deviation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import pauli
-from .errors import DimensionMismatch, IncompleteData
+from .errors import BadTable, DimensionMismatch, IncompleteData
 from .pauli import PauliOperator, PauliString
 
 HERMITICITY_TOL = 1e-12
@@ -120,7 +120,8 @@ def required_strings(
     if not b_basis:
         return []
     terms = [t for op in h_terms for t in op.terms]
-    return pauli.product_closure(b_basis, terms).strings
+    closure = pauli.product_closure(b_basis, terms)
+    return pauli.from_masks(b_basis[0].n, closure.x, closure.z)
 
 
 def write_tsv(path, header: Dict[str, object], rows: Iterable[Tuple[str, str]]):
@@ -156,37 +157,54 @@ def read_tsv(path) -> Tuple[Dict[str, str], List[Tuple[str, str]]]:
     return header, rows
 
 
-@dataclass
+@dataclass(eq=False)
 class ExpectationTable:
-    """Map from Pauli string to a (possibly noisy) expectation value.
+    """Pauli strings, as uint64 masks ``x`` and ``z``, and their (possibly noisy) values.
 
-    ``values`` is held in canonical string order (``PauliString.sort_key``,
-    computed by ``pauli.canonical_order``), whatever order it was given in,
-    so iterating, saving and drawing noise all follow that order.
+    The constructor sorts the three arrays once into canonical string order
+    (``pauli.canonical_order``), which saving and drawing noise follow.  A
+    mask outside the n sites, a string listed twice, a non-finite value and
+    an identity value other than exactly 1 raise ValueError.
     """
 
     n: int
-    values: Dict[PauliString, float]
+    x: np.ndarray
+    z: np.ndarray
+    values: np.ndarray
     noise_sigma: float = 0.0
     seed: Optional[int] = None
 
     def __post_init__(self):
         pauli.check_mask_limit(self.n, "expectation table")
-        ident = PauliString.identity(self.n)
-        if ident in self.values and self.values[ident] != 1.0:
-            raise ValueError("identity expectation must be exactly 1")
-        items = list(self.values.items())
-        order = pauli.canonical_order(*pauli.masks([string for string, _ in items]))
-        if np.any(order != np.arange(len(order))):
-            self.values = dict([items[i] for i in order.tolist()])
-        else:
-            self.values = dict(self.values)
+        x, z = np.asarray(self.x, dtype=np.uint64), np.asarray(self.z, dtype=np.uint64)
+        values = np.asarray(self.values, dtype=float)
+        if ((x | z) >> np.uint64(self.n)).any():
+            raise ValueError(f"a string acts outside the table's {self.n} sites")
+        order = pauli.canonical_order(x, z)
+        self.x, self.z, self.values = x[order], z[order], values[order]
+        _, _, inverse = pauli.unique_masks(self.x, self.z)
+        for bad, problem in (
+            (np.bincount(inverse)[inverse] > 1, "{s} is listed twice"),
+            (~np.isfinite(self.values), "{s} has the value {v!r}, which is not finite"),
+            (((self.x | self.z) == 0) & (self.values != 1.0), "{s} has the value {v!r}, not 1"),
+        ):
+            if bad.any():
+                i = np.argmax(bad)
+                s = PauliString(self.n, int(self.x[i]), int(self.z[i])).to_text()
+                raise ValueError(problem.format(s=s, v=float(self.values[i])))
 
-    def value(self, string: PauliString) -> float:
-        try:
-            return self.values[string]
-        except KeyError:
-            raise IncompleteData(string.to_text()) from None
+    def lookup(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Values of the strings with uint64 masks (x, z); a missing one raises IncompleteData."""
+        x, z = np.asarray(x, dtype=np.uint64), np.asarray(z, dtype=np.uint64)
+        both_x, both_z = np.concatenate([self.x, x]), np.concatenate([self.z, z])
+        _, _, inverse = pauli.unique_masks(both_x, both_z)
+        entry = np.full(len(inverse), -1)
+        entry[inverse[: len(self.x)]] = np.arange(len(self.x))
+        found = entry[inverse[len(self.x) :]]
+        if (found < 0).any():
+            i = np.argmax(found < 0)
+            raise IncompleteData(PauliString(self.n, int(x[i]), int(z[i])).to_text())
+        return self.values[found]
 
     def save(self, path):
         header = {
@@ -194,22 +212,23 @@ class ExpectationTable:
             "noise_sigma": repr(self.noise_sigma),
             "seed": "" if self.seed is None else self.seed,
         }
-        write_tsv(path, header, ((s.to_text(), repr(v)) for s, v in self.values.items()))
+        texts = (s.to_text() for s in pauli.from_masks(self.n, self.x, self.z))
+        write_tsv(path, header, zip(texts, map(repr, self.values.tolist())))
 
     @classmethod
     def load(cls, path) -> "ExpectationTable":
-        header, rows = read_tsv(path)
-        if "n" not in header:
-            raise ValueError(f"table file {path} has no 'n' header")
-        n = int(header["n"])
-        values = {PauliString.from_text(text, n): float(raw) for text, raw in rows}
-        seed = header.get("seed")
-        return cls(
-            n,
-            values,
-            noise_sigma=float(header.get("noise_sigma", 0.0)),
-            seed=int(seed) if seed else None,
-        )
+        """Read a table file; anything wrong with it raises BadTable."""
+        try:
+            header, rows = read_tsv(path)
+            if "n" not in header:
+                raise ValueError("no 'n' header")
+            n = int(header["n"])
+            x, z = pauli.masks([PauliString.from_text(text, n) for text, _ in rows])
+            values = np.array([float(raw) for _, raw in rows])
+            noise_sigma, seed = float(header.get("noise_sigma", 0.0)), header.get("seed")
+            return cls(n, x, z, values, noise_sigma, int(seed) if seed else None)
+        except ValueError as exc:
+            raise BadTable(f"table file {path}: {exc}") from exc
 
 
 def build_table(rho: DensityMatrix, strings: Iterable[PauliString]) -> ExpectationTable:
@@ -241,9 +260,7 @@ def build_table(rho: DensityMatrix, strings: Iterable[PauliString]) -> Expectati
         here = (which >= start) & (which < start + len(block))
         values[here] = (phases[here] * transformed[which[here] - start, zi[here]]).real
     values[(x | z) == 0] = 1.0
-    values = values.tolist()
-    in_order = {strings[i]: values[i] for i in pauli.canonical_order(x, z).tolist()}
-    return ExpectationTable(rho.n, in_order, noise_sigma=0.0, seed=None)
+    return ExpectationTable(rho.n, x, z, values)
 
 
 def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
@@ -270,16 +287,9 @@ def add_noise(table: ExpectationTable, sigma: float, seed) -> ExpectationTable:
     if sigma < 0:
         raise ValueError(f"noise standard deviation must be >= 0, got {sigma}")
     if sigma == 0:
-        return ExpectationTable(
-            table.n, table.values, noise_sigma=table.noise_sigma, seed=table.seed
-        )
-    rng = np.random.default_rng(seed)
-    draws = rng.normal(0.0, sigma, len(table.values))
-    exact = np.fromiter(table.values.values(), dtype=float, count=len(table.values))
-    values = dict(zip(table.values, (exact + draws).tolist()))
-    ident = PauliString.identity(table.n)
-    if ident in values:
-        values[ident] = 1.0
+        return replace(table)
+    values = table.values + np.random.default_rng(seed).normal(0.0, sigma, len(table.values))
+    values[(table.x | table.z) == 0] = 1.0
     combined = math.sqrt(table.noise_sigma**2 + sigma**2)
     seed_repr = seed if isinstance(seed, int) else None
-    return ExpectationTable(table.n, values, noise_sigma=combined, seed=seed_repr)
+    return ExpectationTable(table.n, table.x, table.z, values, combined, seed_repr)

@@ -13,7 +13,7 @@ from gibbslearn.cli import (
 )
 from gibbslearn.errors import ConfigError
 from gibbslearn.models import string_basis_operators
-from gibbslearn.pauli import PauliString, enumerate_geometric_k_local
+from gibbslearn.pauli import PauliString, enumerate_geometric_k_local, from_masks
 from gibbslearn.states import ExpectationTable, required_strings
 
 
@@ -99,9 +99,8 @@ class TestConfig:
         table_path = out / "table_T1p0.tsv"
         basis = enumerate_geometric_k_local(4, 1)
         expect = required_strings(basis, string_basis_operators(basis))
-        assert list(ExpectationTable.load(table_path).values) == sorted(
-            expect, key=PauliString.sort_key
-        )
+        table = ExpectationTable.load(table_path)
+        assert from_masks(4, table.x, table.z) == sorted(expect, key=PauliString.sort_key)
         # learn reads no config file and defaults to 2-local terms, whose
         # closure needs strings this 1-local table lacks
         assert main(["learn", "--table", str(table_path)]) == 4
@@ -183,6 +182,24 @@ class TestGenLearn:
     def test_gen_rejects_oversize(self, tmp_path):
         rc = main(["gen", "--n", "64", "--out", str(tmp_path / "x")])
         assert rc == 4
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# n = 2\nX0 X1\t0.1\nX1 X0\t0.2\n", "X0 X1 is listed twice"),
+            ("# n = 2\nX0 X1\tnan\n", "X0 X1 has the value nan"),
+            ("# n = 2\nZ1\t-inf\n", "Z1 has the value -inf"),
+            ("X0 X1\t0.1\n", "no 'n' header"),
+            ("# n = 2\nX0 W1\t0.1\n", "cannot parse Pauli token 'W1'"),
+        ],
+        ids=["duplicate", "nan", "inf", "no-n", "bad-row"],
+    )
+    def test_learn_bad_table_file(self, tmp_path, capsys, text, message):
+        path = tmp_path / "table.tsv"
+        path.write_text(text)
+        assert main(["learn", "--table", str(path)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: BadTable:") and message in err[0]
 
     def test_learn_not_stationary_exit_code(self, tmp_path):
         # a state far from thermal for the probed terms: maximally mixed

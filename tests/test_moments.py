@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gibbslearn.errors import GramDegenerate
+from gibbslearn.errors import DimensionMismatch, GramDegenerate
 from gibbslearn.gns import build_gns
 from gibbslearn.moments import (
     MomentAssembler,
@@ -20,6 +20,7 @@ from gibbslearn.pauli import (
     all_strings,
     commutator,
     enumerate_geometric_k_local,
+    masks,
     multiply,
 )
 from gibbslearn.states import add_noise, build_table, gibbs_density
@@ -174,11 +175,10 @@ class TestModularCongruence:
                 for seed in (11, 12, 13):
                     table = add_noise(exact, sigma, seed)
                     gram = asm.gram(table)
-                    swapped = np.empty_like(gram)  # swapped[i, j] = omega(b_j b_i)
-                    for i, bi in enumerate(b):
-                        for j, bj in enumerate(b):
-                            string, phase = multiply(bj, bi)
-                            swapped[i, j] = phase * table.value(string)
+                    # swapped[i, j] = omega(b_j b_i)
+                    strings, phases = zip(*(multiply(bj, bi) for bi in b for bj in b))
+                    swapped = np.array(phases) * table.lookup(*masks(strings))
+                    swapped = swapped.reshape(gram.shape)
                     assert np.array_equal(swapped, gram.T)
 
                     try:
@@ -364,7 +364,7 @@ class TestExactAssembly:
             total = 0j
             for string, coeff in op.terms.items():
                 product, phase = multiply(p, string)
-                total += coeff * phase * table.value(product)
+                total += coeff * phase * table.lookup(*masks([product]))[0]
             return total
 
         ops = [PauliOperator.from_string(q) for q in b]
@@ -386,3 +386,15 @@ class TestExactAssembly:
             any(not t.commutes_with(bj) for t in h.terms) for h in h_terms for bj in b
         )
         assert asm.commutator_term_count == len(b) * pairs
+
+
+class TestSiteCount:
+    def test_table_on_other_site_count(self):
+        # the n=4 table holds every mask of the n=3 closure, so only the
+        # site-count check keeps it from being read as a sub-chain
+        asm = MomentAssembler(enumerate_geometric_k_local(3, 2), [])
+        table = build_table(gibbs_density(xxz_chain(4), 1.0), all_strings(4))
+        with pytest.raises(DimensionMismatch, match="table on 4 sites, assembler on 3"):
+            asm.gram(table)
+        with pytest.raises(DimensionMismatch):
+            asm.moment_set(table)

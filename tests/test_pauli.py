@@ -12,10 +12,12 @@ from gibbslearn.pauli import (
     commutator,
     dense_matrix,
     enumerate_geometric_k_local,
+    from_masks,
     masks,
     multiply,
     product_closure,
     string_dense,
+    unique_masks,
 )
 
 from oracles import kron_operator, kron_string
@@ -157,6 +159,11 @@ def letters_sort_key(s):
     return (1, first, last - first + 1, window)
 
 
+def closure_strings(b):
+    closure = product_closure(b, b)
+    return from_masks(b[0].n, closure.x, closure.z)
+
+
 class TestSortKey:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_string(self, n):
@@ -167,7 +174,7 @@ class TestSortKey:
 
     def test_two_local_closure_n6(self):
         b = enumerate_geometric_k_local(6, 2)
-        strings = product_closure(b, b).strings
+        strings = closure_strings(b)
         assert len(strings) == 4096
         assert [s.sort_key() for s in strings] == [letters_sort_key(s) for s in strings]
 
@@ -188,7 +195,7 @@ class TestCanonicalOrder:
 
     def test_two_local_closure_n6(self):
         b = enumerate_geometric_k_local(6, 2)
-        assert_canonical_order(product_closure(b, b).strings, 6)
+        assert_canonical_order(closure_strings(b), 6)
 
     def test_top_bit_n64(self):
         # random masks with every bit, the top one included, equally likely,
@@ -202,6 +209,21 @@ class TestCanonicalOrder:
 
     def test_empty(self):
         assert len(canonical_order(*masks([]))) == 0
+
+
+class TestUniqueMasks:
+    def test_against_set(self):
+        # repeats, the top bit, and pairs that share x but not z or z but not x
+        rng = np.random.default_rng(3)
+        x = rng.choice(np.array([0, 1, 5, 1 << 63], dtype=np.uint64), 300)
+        z = rng.choice(np.array([0, 2, 5, 1 << 63], dtype=np.uint64), 300)
+        ux, uz, inverse = unique_masks(x, z)
+        assert list(zip(ux.tolist(), uz.tolist())) == sorted(set(zip(x.tolist(), z.tolist())))
+        assert np.array_equal(ux[inverse], x) and np.array_equal(uz[inverse], z)
+
+    def test_empty(self):
+        ux, uz, inverse = unique_masks(*masks([]))
+        assert len(ux) == len(uz) == len(inverse) == 0
 
 
 class TestDense:

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from gibbslearn import states
-from gibbslearn.errors import DimensionMismatch, IncompleteData
+from gibbslearn.errors import BadTable, DimensionMismatch, IncompleteData
 from gibbslearn.models import string_basis_operators, xxz_chain
 from gibbslearn.moments import MomentAssembler
 from gibbslearn.pauli import (
@@ -12,6 +12,8 @@ from gibbslearn.pauli import (
     all_strings,
     dense_matrix,
     enumerate_geometric_k_local,
+    from_masks,
+    masks,
     multiply,
     product_closure,
 )
@@ -217,7 +219,8 @@ class TestRequiredStrings:
         b = enumerate_geometric_k_local(5, 2)
         h = string_basis_operators(b)
         got = required_strings(b, h)
-        assert got == product_closure(b, b).strings == required_strings(b, h)
+        closure = product_closure(b, b)
+        assert got == from_masks(5, closure.x, closure.z) == required_strings(b, h)
         assert got == MomentAssembler(b, h).required_strings()
         keys = [(s.x, s.z) for s in got]
         assert keys == sorted(set(keys))
@@ -244,10 +247,16 @@ class TestRequiredStrings:
 
 def assert_matches_expectation(table, rho, strings):
     assert len(table.values) == len(set(strings))
-    for s in strings:
-        ref = 1.0 if s.is_identity else expectation(rho, s)
-        assert abs(table.value(s) - ref) < 1e-14
-    assert table.value(PauliString.identity(rho.n)) == 1.0
+    ref = [1.0 if s.is_identity else expectation(rho, s) for s in strings]
+    assert np.abs(table.lookup(*masks(strings)) - ref).max() < 1e-14
+    assert table.lookup(*masks([PauliString.identity(rho.n)])).tolist() == [1.0]
+
+
+def assert_same_table(a, b):
+    """Same strings in the same order, bit-identical values."""
+    assert a.n == b.n
+    for name in ("x", "z", "values"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 class TestBuildTable:
@@ -261,9 +270,8 @@ class TestBuildTable:
         # the Walsh-Hadamard route against literal tensor products
         rho = gibbs_density(asymmetric_chain(3, seed=1), 1.2)
         table = build_table(rho, all_strings(3))
-        for s in all_strings(3):
-            ref = np.trace(rho.matrix @ kron_string(s)).real
-            assert abs(table.value(s) - ref) < 1e-14
+        ref = [np.trace(rho.matrix @ kron_string(s)).real for s in all_strings(3)]
+        assert np.abs(table.lookup(*masks(all_strings(3))) - ref).max() < 1e-14
 
     def test_two_local_closure_n6(self):
         rho = gibbs_density(asymmetric_chain(6, seed=2), 1.0)
@@ -280,7 +288,7 @@ class TestBuildTable:
         monkeypatch.setattr(states, "GATHER_ENTRIES", 3 << n)
         blocked = build_table(rho, strings)
         assert (1 << n) % 3 != 0
-        assert list(blocked.values.items()) == list(whole.values.items())
+        assert_same_table(blocked, whole)
         assert_matches_expectation(blocked, rho, strings)
 
     def test_any_input_order(self):
@@ -289,8 +297,8 @@ class TestBuildTable:
         shuffled = list(strings)
         np.random.default_rng(5).shuffle(shuffled)
         table = build_table(rho, shuffled)
-        assert list(table.values) == strings
-        assert table.values == build_table(rho, set(strings)).values
+        assert from_masks(3, table.x, table.z) == strings
+        assert_same_table(table, build_table(rho, set(strings)))
 
     def test_rejects_other_site_count(self):
         rho = gibbs_density(xxz_chain(3), 1.0)
@@ -300,17 +308,49 @@ class TestBuildTable:
 
 class TestTable:
     def test_site_limit(self):
-        ExpectationTable(64, {PauliString.from_text("X63", 64): 0.5})
+        ExpectationTable(64, [1 << 63], [0], [0.5])
         with pytest.raises(ValueError, match="at most 64 sites"):
-            ExpectationTable(65, {})
+            ExpectationTable(65, [], [], [])
+        with pytest.raises(ValueError, match="outside the table's 3 sites"):
+            ExpectationTable(3, [1 << 3], [0], [0.5])
 
     def test_build_and_lookup(self):
         rho = gibbs_density(xxz_chain(3), 1.0)
-        strings = set(all_strings(3))
-        table = build_table(rho, strings)
-        assert table.value(PauliString.identity(3)) == 1.0
-        with pytest.raises(IncompleteData):
-            ExpectationTable(3, {}).value(PauliString.from_text("X0", 3))
+        strings = all_strings(3)
+        table = build_table(rho, set(strings))
+        # any query order, repeats included, reads the entry each string equals
+        query = [strings[i] for i in np.random.default_rng(1).integers(0, len(strings), 200)]
+        expect = [1.0 if s.is_identity else expectation(rho, s) for s in query]
+        assert np.abs(table.lookup(*masks(query)) - expect).max() < 1e-14
+        assert table.lookup(*masks([PauliString.identity(3)])).tolist() == [1.0]
+        # Python ints are read as uint64: these two masks are one float64
+        top = ExpectationTable(64, [1 << 62, (1 << 62) | 1], [0, 0], [0.5, 0.25])
+        assert top.lookup([(1 << 62) | 1, 1 << 62], [0, 0]).tolist() == [0.25, 0.5]
+        with pytest.raises(IncompleteData, match="'Y0 X2'"):
+            ExpectationTable(3, [], [], []).lookup(*masks([PauliString.from_text("Y0 X2", 3)]))
+
+    def test_rejects_duplicate(self, tmp_path):
+        x, z = masks([PauliString.from_text(t, 2) for t in ("X0 X1", "Z0", "X1 X0")])
+        with pytest.raises(ValueError, match="X0 X1 is listed twice"):
+            ExpectationTable(2, x, z, [0.1, 0.2, 0.3])
+        path = tmp_path / "table.tsv"
+        path.write_text("# n = 2\nX0 X1\t0.1\nZ0\t0.2\nX1 X0\t0.3\n")
+        with pytest.raises(BadTable, match="X0 X1 is listed twice"):
+            ExpectationTable.load(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite(self, tmp_path, bad):
+        x, z = masks([PauliString.from_text(t, 2) for t in ("I", "Z0", "Y1")])
+        with pytest.raises(ValueError, match=f"Y1 has the value {bad}"):
+            ExpectationTable(2, x, z, [1.0, 0.2, float(bad)])
+        path = tmp_path / "table.tsv"
+        path.write_text(f"# n = 2\nI\t1.0\nZ0\t0.2\nY1\t{bad}\n")
+        with pytest.raises(BadTable, match=f"Y1 has the value {bad}"):
+            ExpectationTable.load(path)
+
+    def test_identity_must_be_one(self):
+        with pytest.raises(ValueError, match="I has the value 0.5, not 1"):
+            ExpectationTable(2, [0], [0], [0.5])
 
     def test_roundtrip(self, tmp_path, rng):
         rho = gibbs_density(xxz_chain(3), 1.0)
@@ -319,43 +359,56 @@ class TestTable:
         path = tmp_path / "table.tsv"
         noisy.save(path)
         back = ExpectationTable.load(path)
-        assert back.n == noisy.n
         assert back.noise_sigma == noisy.noise_sigma
         assert back.seed == noisy.seed
-        assert back.values == noisy.values  # exact repr round-trip
+        assert_same_table(back, noisy)  # exact repr round-trip
+        back.save(tmp_path / "again.tsv")
+        assert (tmp_path / "again.tsv").read_bytes() == path.read_bytes()
 
     def test_held_in_canonical_order(self, tmp_path):
-        # a table built from a shuffled dict iterates, saves and draws noise
-        # exactly like one built in canonical order
+        # a table built from shuffled arrays saves and draws noise exactly
+        # like one built in canonical order
         n = 4
         basis = enumerate_geometric_k_local(n, 2)
         needed = required_strings(basis, string_basis_operators(basis))
         strings = sorted(needed, key=PauliString.sort_key)
         rho = gibbs_density(xxz_chain(n), 1.0)
-        canonical = {s: 1.0 if s.is_identity else expectation(rho, s) for s in strings}
+        x, z = masks(strings)
+        exact = np.array([1.0 if s.is_identity else expectation(rho, s) for s in strings])
         order = np.random.default_rng(4).permutation(len(strings))
-        shuffled = {strings[i]: canonical[strings[i]] for i in order}
-        assert list(shuffled) != strings
-        a, b = ExpectationTable(n, canonical), ExpectationTable(n, shuffled)
-        assert list(a.values) == list(b.values) == strings
+        assert np.any(order != np.arange(len(strings)))
+        a = ExpectationTable(n, x, z, exact)
+        b = ExpectationTable(n, x[order], z[order], exact[order])
+        assert_same_table(a, b)
+        assert from_masks(n, a.x, a.z) == strings
         a.save(tmp_path / "a.tsv")
         b.save(tmp_path / "b.tsv")
         assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
         noisy_a, noisy_b = add_noise(a, 1e-3, 9), add_noise(b, 1e-3, 9)
-        assert list(noisy_a.values.items()) == list(noisy_b.values.items())
+        assert_same_table(noisy_a, noisy_b)
         # one draw per entry in that order; the identity's draw is discarded
         draws = np.random.default_rng(9).normal(0.0, 1e-3, len(strings))
-        assert strings[0].is_identity and noisy_a.values[strings[0]] == 1.0
-        for s, draw in zip(strings[1:], draws[1:]):
-            assert noisy_a.values[s] == canonical[s] + draw
+        assert strings[0].is_identity and noisy_a.values[0] == 1.0
+        assert np.array_equal(noisy_a.values[1:], exact[1:] + draws[1:])
 
     def test_load_needs_n_header_first(self, tmp_path):
         path = tmp_path / "table.tsv"
         path.write_text("# seed = 1\nX0\t0.5\n# n = 1\n")
-        with pytest.raises(ValueError, match="after data"):
+        with pytest.raises(BadTable, match="after data"):
             ExpectationTable.load(path)
         path.write_text("# seed = 1\nX0\t0.5\n")
-        with pytest.raises(ValueError, match="no 'n' header"):
+        with pytest.raises(BadTable, match="no 'n' header"):
+            ExpectationTable.load(path)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [("Q0\t0.5", "cannot parse Pauli token 'Q0'"), ("X0\thalf", "half"),
+         ("X2\t0.5", "site 2 outside")],
+    )
+    def test_load_rejects_bad_row(self, tmp_path, row, message):
+        path = tmp_path / "table.tsv"
+        path.write_text(f"# n = 2\nZ0\t0.25\n{row}\n")
+        with pytest.raises(BadTable, match=message):
             ExpectationTable.load(path)
 
     def test_tsv_format(self, tmp_path):
@@ -369,24 +422,24 @@ class TestNoise:
     def test_zero_sigma_identity(self):
         rho = gibbs_density(xxz_chain(3), 1.0)
         table = build_table(rho, all_strings(3))
-        out = add_noise(table, 0.0, 123)
-        assert out.values == table.values
+        assert_same_table(add_noise(table, 0.0, 123), table)
 
     def test_determinism(self):
         rho = gibbs_density(xxz_chain(3), 1.0)
         table = build_table(rho, all_strings(3))
         a = add_noise(table, 1e-3, 5)
         b = add_noise(table, 1e-3, 5)
-        assert a.values == b.values
+        assert_same_table(a, b)
         c = add_noise(table, 1e-3, 6)
-        assert c.values != a.values
+        assert not np.array_equal(c.values, a.values)
 
     def test_identity_untouched_and_no_clamping(self):
         rho = gibbs_density(xxz_chain(2), 1.0)
         table = build_table(rho, all_strings(2))
         noisy = add_noise(table, 50.0, 3)
-        assert noisy.values[PauliString.identity(2)] == 1.0
-        assert any(abs(v) > 1 for s, v in noisy.values.items() if not s.is_identity)
+        identity = (noisy.x | noisy.z) == 0
+        assert noisy.values[identity].tolist() == [1.0]
+        assert np.any(np.abs(noisy.values[~identity]) > 1)
 
     def test_negative_sigma_rejected(self):
         rho = gibbs_density(xxz_chain(2), 1.0)
@@ -397,15 +450,13 @@ class TestNoise:
     def test_empirical_sigma(self):
         # statistical self-test across many entries
         n = 7
-        values = {PauliString.identity(n): 1.0}
-        for s in all_strings(n, include_identity=False)[:12000]:
-            values[s] = 0.0
-        table = ExpectationTable(n, values)
+        strings = [PauliString.identity(n)] + all_strings(n, include_identity=False)[:12000]
+        values = np.zeros(len(strings))
+        values[0] = 1.0
+        table = ExpectationTable(n, *masks(strings), values)
         sigma = 1e-3
         noisy = add_noise(table, sigma, 11)
-        draws = np.array(
-            [v for s, v in noisy.values.items() if not s.is_identity]
-        )
+        draws = noisy.values[(noisy.x | noisy.z) != 0]
         assert abs(draws.std() - sigma) / sigma < 0.05
 
     def test_variance_composition(self):
