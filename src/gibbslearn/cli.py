@@ -23,6 +23,7 @@ from . import gns, models, states
 from .errors import (
     ConfigError,
     DeltaNotPositive,
+    DimensionMismatch,
     GibbsLearnError,
     GramDegenerate,
     NormalizationDegenerate,
@@ -223,12 +224,15 @@ def cmd_gen(args) -> int:
 
 
 def load_truth(path) -> Tuple[int, float, PauliOperator]:
-    header, rows = read_tsv(path)
-    if "n" not in header or "temperature" not in header:
-        raise ConfigError(f"truth file {path} lacks n/temperature headers")
-    n = int(header["n"])
-    terms = [(float(coeff), text) for coeff, text in rows]
-    return n, float(header["temperature"]), PauliOperator.from_terms(n, terms)
+    try:
+        header, rows = read_tsv(path)
+        if "n" not in header or "temperature" not in header:
+            raise ValueError("lacks n/temperature headers")
+        n = int(header["n"])
+        terms = [(float(coeff), text) for coeff, text in rows]
+        return n, float(header["temperature"]), PauliOperator.from_terms(n, terms)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"truth file {path}: {exc}") from exc
 
 
 # -- learn --------------------------------------------------------------------
@@ -236,6 +240,9 @@ def load_truth(path) -> Tuple[int, float, PauliOperator]:
 
 def cmd_learn(args) -> int:
     table = ExpectationTable.load(args.table)
+    n_true, t_true, h_true = load_truth(args.truth) if args.truth else (table.n, None, None)
+    if n_true != table.n:
+        raise DimensionMismatch(f"truth file on {n_true} sites, table on {table.n}")
     k_local = ExperimentConfig.k_local if args.k_local is None else args.k_local
     basis, h_terms = _string_basis(table.n, k_local)
     assembler = MomentAssembler(basis, h_terms)
@@ -254,7 +261,6 @@ def cmd_learn(args) -> int:
         print(f"temperature T = {result.t_star:.6e}")
     print(f"kernel dimension q = {result.diagnostics.q}")
     if args.truth and result.y_star is not None:
-        _, t_true, h_true = load_truth(args.truth)
         z_true = models.coefficient_vector(h_true, basis)
         report = evaluate_recovery(result, z_true, t_true)
         print(f"recovery angle theta = {report.theta:.6e}")

@@ -28,13 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatch, GramDegenerate
-from .pauli import PHASES, PauliOperator, PauliString, from_masks, masks, product_closure
+from .pauli import PHASES, PauliOperator, PauliString, masks, product_closure
 from .states import ExpectationTable
 
 DEFAULT_GRAM_FLOOR_REL = 1e-10
@@ -147,8 +147,8 @@ class MomentAssembler:
 
     # -- data-dependent assembly ------------------------------------------
 
-    def required_strings(self) -> List[PauliString]:
-        return from_masks(self.n, self._x, self._z)
+    def required_strings(self) -> Tuple[np.ndarray, np.ndarray]:
+        return self._x, self._z
 
     def _values(self, table: ExpectationTable) -> np.ndarray:
         if table.n != self.n:

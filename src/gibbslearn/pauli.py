@@ -20,10 +20,9 @@ from .errors import DenseLimitExceeded, DimensionMismatch
 
 PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 
-_LETTER_TO_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _CODE_LETTERS = ("I", "X", "Z", "Y")  # indexed by the code x_bit | z_bit << 1
-# rank of each code's letter in the alphabetical order I < X < Y < Z
-_CODE_RANKS = np.array([0, 1, 3, 2], dtype=np.uint8)
+_LETTER_CODES = {letter: code for code, letter in enumerate(_CODE_LETTERS) if code}
+_RANKED_CODES = (0, 1, 3, 2)  # the codes of I < X < Y < Z, the canonical letter order
 
 DEFAULT_DENSE_LIMIT = 12
 _DENSE_LIMIT_ENV = "GIBBSLEARN_DENSE_LIMIT"
@@ -65,24 +64,9 @@ class PauliString:
 
     @classmethod
     def from_text(cls, text: str, n: int) -> "PauliString":
-        """Parse the textual format, e.g. "X0 X1", "Z4" or "I"."""
-        text = text.strip()
-        if text in ("", "I"):
-            return cls.identity(n)
-        x = z = 0
-        for token in text.split():
-            letter, site = token[0], token[1:]
-            if letter not in _LETTER_TO_BITS or not site.isdigit():
-                raise ValueError(f"cannot parse Pauli token {token!r}")
-            site = int(site)
-            if site >= n:
-                raise ValueError(f"site {site} outside [0, {n})")
-            if (x | z) >> site & 1:
-                raise ValueError(f"site {site} listed twice in {text!r}")
-            bx, bz = _LETTER_TO_BITS[letter]
-            x |= bx << site
-            z |= bz << site
-        return cls(n, x, z)
+        """Parse the textual format, e.g. "X0 X1", "Z4" or "I"; see ``parse_texts``."""
+        x, z = parse_texts([text], n)
+        return cls(n, int(x[0]), int(z[0]))
 
     @property
     def letters(self) -> Dict[int, str]:
@@ -105,30 +89,8 @@ class PauliString:
         _require_same_n(self, other)
         return ((self.x & other.z).bit_count() + (self.z & other.x).bit_count()) % 2 == 0
 
-    def sort_key(self):
-        """Canonical order: identity first, then (leftmost site, width, letters)."""
-        occupied = self.x | self.z
-        if not occupied:
-            return (0, 0, 0, ())
-        first = (occupied & -occupied).bit_length() - 1
-        width = occupied.bit_length() - first
-        x, z = self.x >> first, self.z >> first
-        window = tuple(
-            _CODE_LETTERS[(x >> k & 1) | (z >> k & 1) << 1] for k in range(width)
-        )
-        return (1, first, width, window)
-
     def to_text(self) -> str:
-        occupied = self.x | self.z
-        if not occupied:
-            return "I"
-        tokens = []
-        while occupied:
-            site = (occupied & -occupied).bit_length() - 1
-            letter = _CODE_LETTERS[(self.x >> site & 1) | (self.z >> site & 1) << 1]
-            tokens.append(f"{letter}{site}")
-            occupied &= occupied - 1
-        return " ".join(tokens)
+        return texts(*np.array([[self.x], [self.z]], dtype=object))[0]
 
     def __repr__(self):
         return f"PauliString({self.n}, '{self.to_text()}')"
@@ -243,7 +205,8 @@ class PauliOperator:
         return self.terms.get(string, 0j)
 
     def strings(self) -> List[PauliString]:
-        return sorted(self.terms, key=PauliString.sort_key)
+        strings = list(self.terms)
+        return [strings[i] for i in canonical_order(*masks(strings))]
 
     def to_text(self) -> str:
         parts = []
@@ -283,21 +246,23 @@ def commutator(a: PauliOperator, b: PauliOperator) -> PauliOperator:
 def enumerate_geometric_k_local(n: int, k: int) -> List[PauliString]:
     """All non-identity strings supported on a contiguous window of <= k sites.
 
-    Deterministic canonical order.  The identity is left out: as a candidate
-    term it would satisfy the normalization on its own and leave the
+    Built in canonical order (``canonical_order``), with no sort and no mask
+    array, so chains beyond 64 sites work too.  The identity is left out: as a
+    candidate term it would satisfy the normalization on its own and leave the
     program's scale arbitrary.
     """
     if not 1 <= k <= n:
         raise ValueError(f"locality k={k} must satisfy 1 <= k <= n={n}")
     out = []
-    for width in range(1, k + 1):
-        # each site's letter code is x_bit | z_bit << 1; both ends are non-identity
-        for codes in itertools.product(range(4), repeat=width):
-            if codes[0] and codes[-1]:
-                x = sum((code & 1) << site for site, code in enumerate(codes))
-                z = sum((code >> 1) << site for site, code in enumerate(codes))
-                out += [PauliString(n, x << first, z << first) for first in range(n - width + 1)]
-    return sorted(out, key=PauliString.sort_key)
+    for first in range(n):
+        for width in range(1, min(k, n - first) + 1):
+            # each site's letter code is x_bit | z_bit << 1; both ends are non-identity
+            for codes in itertools.product(_RANKED_CODES, repeat=width):
+                if codes[0] and codes[-1]:
+                    x = sum((code & 1) << site for site, code in enumerate(codes, first))
+                    z = sum((code >> 1) << site for site, code in enumerate(codes, first))
+                    out.append(PauliString(n, x, z))
+    return out
 
 
 # --- mask arrays and the required-string closure --------------------------
@@ -318,9 +283,48 @@ def masks(strings: Sequence[PauliString]) -> Tuple[np.ndarray, np.ndarray]:
     return x, z
 
 
-def from_masks(n: int, x: np.ndarray, z: np.ndarray) -> List[PauliString]:
-    """The strings of two uint64 mask arrays, in their order; the inverse of ``masks``."""
-    return [PauliString(n, *xz) for xz in zip(x.tolist(), z.tolist())]
+def texts(x: np.ndarray, z: np.ndarray) -> List[str]:
+    """The text of each string with masks (x, z), e.g. "X0 Y2" or "I"; inverse of ``parse_texts``.
+
+    uint64 masks, or object arrays of Python ints beyond 64 sites; one pass per site.
+    """
+    out = np.zeros(x.shape, dtype=str)
+    for site in range(int((x | z).max(initial=0)).bit_length()):
+        words = np.array(["", *(f"{letter}{site} " for letter in _CODE_LETTERS[1:])])
+        out = np.strings.add(out, words[((x >> site & 1) | (z >> site & 1) << 1).astype(np.intp)])
+    return [text or "I" for text in np.strings.rstrip(out).tolist()]
+
+
+def parse_texts(lines: Sequence[str], n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The masks of strings on n sites written as text: uint64, or Python ints beyond 64 sites.
+
+    A line is "I" or "" for the identity, or tokens such as "Y3" (a letter X, Y
+    or Z and a site below n) in any order.  A token that does not parse, a site
+    out of range and a site listed twice raise ValueError.
+    """
+    parsed: Dict[str, Tuple[int, int]] = {}  # token -> (site, letter code), each parsed once
+    xs, zs = [], []
+    for line in lines:
+        text = line.strip()
+        x = z = 0
+        for token in () if text == "I" else text.split():
+            if token not in parsed:
+                letter, site = token[0], token[1:]
+                if letter not in _LETTER_CODES or not site.isdigit():
+                    raise ValueError(f"cannot parse Pauli token {token!r}")
+                site = int(site)
+                if site >= n:
+                    raise ValueError(f"site {site} outside [0, {n})")
+                parsed[token] = site, _LETTER_CODES[letter]
+            site, code = parsed[token]
+            if (x | z) >> site & 1:
+                raise ValueError(f"site {site} listed twice in {text!r}")
+            x |= (code & 1) << site
+            z |= (code >> 1) << site
+        xs.append(x)
+        zs.append(z)
+    dtype = np.uint64 if n <= MASK_SITE_LIMIT else object
+    return np.array(xs, dtype=dtype), np.array(zs, dtype=dtype)
 
 
 def unique_masks(x: np.ndarray, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -339,11 +343,11 @@ def unique_masks(x: np.ndarray, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray, 
 
 
 def canonical_order(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The permutation that sorts strings, given by their uint64 masks, by ``sort_key``.
+    """The permutation that sorts strings, given by their uint64 masks, into canonical order.
 
-    One ``np.lexsort`` over the key's parts: the non-identity flag, the first
-    site, the width, then the letter rank at each site of the window from its
-    first site on.  Every shift is by at most 63 bits.
+    The identity comes first, then the strings by first site, by width and
+    by the letters of their window, site by site, in the order I < X < Y < Z.
+    One ``np.lexsort`` over these parts; every shift is by at most 63 bits.
     """
     occupied = x | z
     non_identity = occupied != 0
@@ -356,7 +360,7 @@ def canonical_order(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     sites = np.arange(int(width.max(initial=0)), dtype=np.uint64)
     xs = (x >> first)[:, None] >> sites & np.uint64(1)
     zs = (z >> first)[:, None] >> sites & np.uint64(1)
-    ranks = _CODE_RANKS[xs | zs << np.uint64(1)]
+    ranks = np.argsort(_RANKED_CODES).astype(np.uint8)[xs | zs << np.uint64(1)]
     return np.lexsort((*ranks.T[::-1], width, first, non_identity))
 
 
@@ -462,11 +466,4 @@ def dense_to_operator(matrix: np.ndarray, n: int, tol: float = 1e-12) -> PauliOp
 
 def all_strings(n: int, include_identity: bool = True) -> List[PauliString]:
     """All 4^n strings (or 4^n - 1 traceless ones) in canonical order."""
-    out = [
-        PauliString(n, x, z)
-        for x in range(1 << n)
-        for z in range(1 << n)
-        if include_identity or x or z
-    ]
-    out.sort(key=PauliString.sort_key)
-    return out
+    return [PauliString.identity(n)] * include_identity + enumerate_geometric_k_local(n, n)

@@ -108,20 +108,19 @@ def expectation(rho: DensityMatrix, p: PauliString) -> float:
 
 def required_strings(
     b_basis: Sequence[PauliString], h_terms: Sequence[PauliOperator]
-) -> List[PauliString]:
-    """The distinct strings whose expectations determine every moment matrix.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The uint64 masks (x, z) of the strings whose expectations determine every moment matrix.
 
     Products b_i b_j cover the Gram matrix and the modular matrix (reversed
     products share base strings), triple products b_i t b_j with t running
     over the strings of each Hamiltonian term cover the commutator moments,
     and the strings of the terms themselves cover the normalization data.
-    They come in the closure's deterministic (x, z) mask order.
+    They are the closure's distinct strings, in its (x, z) mask order.
     """
     if not b_basis:
-        return []
-    terms = [t for op in h_terms for t in op.terms]
-    closure = pauli.product_closure(b_basis, terms)
-    return pauli.from_masks(b_basis[0].n, closure.x, closure.z)
+        return pauli.masks([])
+    closure = pauli.product_closure(b_basis, [t for op in h_terms for t in op.terms])
+    return closure.x, closure.z
 
 
 def write_tsv(path, header: Dict[str, object], rows: Iterable[Tuple[str, str]]):
@@ -190,7 +189,7 @@ class ExpectationTable:
         ):
             if bad.any():
                 i = np.argmax(bad)
-                s = PauliString(self.n, int(self.x[i]), int(self.z[i])).to_text()
+                s = pauli.texts(self.x[i : i + 1], self.z[i : i + 1])[0]
                 raise ValueError(problem.format(s=s, v=float(self.values[i])))
 
     def lookup(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -203,7 +202,7 @@ class ExpectationTable:
         found = entry[inverse[len(self.x) :]]
         if (found < 0).any():
             i = np.argmax(found < 0)
-            raise IncompleteData(PauliString(self.n, int(x[i]), int(z[i])).to_text())
+            raise IncompleteData(pauli.texts(x[i : i + 1], z[i : i + 1])[0])
         return self.values[found]
 
     def save(self, path):
@@ -212,27 +211,26 @@ class ExpectationTable:
             "noise_sigma": repr(self.noise_sigma),
             "seed": "" if self.seed is None else self.seed,
         }
-        texts = (s.to_text() for s in pauli.from_masks(self.n, self.x, self.z))
-        write_tsv(path, header, zip(texts, map(repr, self.values.tolist())))
+        write_tsv(path, header, zip(pauli.texts(self.x, self.z), map(repr, self.values.tolist())))
 
     @classmethod
     def load(cls, path) -> "ExpectationTable":
-        """Read a table file; anything wrong with it raises BadTable."""
+        """Read a table file; a file that cannot be read or is wrong raises BadTable."""
         try:
             header, rows = read_tsv(path)
             if "n" not in header:
                 raise ValueError("no 'n' header")
             n = int(header["n"])
-            x, z = pauli.masks([PauliString.from_text(text, n) for text, _ in rows])
+            x, z = pauli.parse_texts([text for text, _ in rows], n)
             values = np.array([float(raw) for _, raw in rows])
             noise_sigma, seed = float(header.get("noise_sigma", 0.0)), header.get("seed")
             return cls(n, x, z, values, noise_sigma, int(seed) if seed else None)
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             raise BadTable(f"table file {path}: {exc}") from exc
 
 
-def build_table(rho: DensityMatrix, strings: Iterable[PauliString]) -> ExpectationTable:
-    """Evaluate every string exactly; identity is pinned to 1.
+def build_table(rho: DensityMatrix, strings: Tuple[np.ndarray, np.ndarray]) -> ExpectationTable:
+    """Evaluate every string, given as uint64 masks (x, z), exactly; identity is pinned to 1.
 
     A string with index masks (xi, zi) and y letters Y has
     tr(rho p) = Re(i^y sum_i (-1)^popcount(i & zi) rho[i, i ^ xi]), the
@@ -240,11 +238,9 @@ def build_table(rho: DensityMatrix, strings: Iterable[PauliString]) -> Expectati
     So one transform per distinct xi serves every string that shares it.
     The distinct xi, at most 2^n of them, are gathered in blocks of at most
     ``GATHER_ENTRIES`` entries, so a block never holds more entries than rho.
+    A mask outside rho's sites raises the table constructor's ValueError.
     """
-    strings = list(strings)
-    if any(s.n != rho.n for s in strings):
-        raise DimensionMismatch(f"strings and state on different site counts (state: {rho.n})")
-    x, z = pauli.masks(strings)
+    x, z = (np.asarray(m, dtype=np.uint64) for m in strings)
     xi = pauli.index_masks(x, rho.n)
     zi = pauli.index_masks(z, rho.n)
     x_masks, which = np.unique(xi, return_inverse=True)
@@ -252,7 +248,7 @@ def build_table(rho: DensityMatrix, strings: Iterable[PauliString]) -> Expectati
     dim = 1 << rho.n
     basis = np.arange(dim)
     flat = rho.matrix.ravel()
-    values = np.empty(len(strings))
+    values = np.empty(len(x))
     per_block = max(1, GATHER_ENTRIES // dim)
     for start in range(0, len(x_masks), per_block):
         block = x_masks[start : start + per_block]

@@ -7,6 +7,8 @@ from functools import reduce
 import numpy as np
 import scipy.linalg
 
+from gibbslearn.pauli import PauliString
+
 PAULI_MATS = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -20,6 +22,21 @@ def kron_string(string):
     letters = string.letters
     mats = [PAULI_MATS[letters.get(site, "I")] for site in range(string.n)]
     return reduce(np.kron, mats)
+
+
+def letters_sort_key(s):
+    """The canonical order read off the site-to-letter map, one site at a time."""
+    if s.is_identity:
+        return (0, 0, 0, ())
+    sites = s.support
+    first, last = sites[0], sites[-1]
+    window = tuple(s.letters.get(site, "I") for site in range(first, last + 1))
+    return (1, first, last - first + 1, window)
+
+
+def letters_text(s):
+    """The text of a string read off the site-to-letter map, e.g. "X0 Y2" or "I"."""
+    return " ".join(f"{s.letters[k]}{k}" for k in sorted(s.letters)) or "I"
 
 
 def kron_operator(op):
@@ -90,3 +107,8 @@ def sdp_bisection_oracle(l0, h_mats, w, t_hi=10.0, y_box=10.0, xtol=2e-7):
     val, free_vals, t_opt = maximize([], 0)
     _, y = assemble(free_vals, t_opt)
     return val, y, t_opt
+
+
+def mask_strings(n, x, z):
+    """The strings of two mask arrays as ``PauliString`` objects, in their order."""
+    return [PauliString(n, a, b) for a, b in zip(np.asarray(x).tolist(), np.asarray(z).tolist())]

@@ -1,5 +1,6 @@
 import csv
 
+import numpy as np
 import pytest
 
 from gibbslearn.cli import (
@@ -13,7 +14,7 @@ from gibbslearn.cli import (
 )
 from gibbslearn.errors import ConfigError
 from gibbslearn.models import string_basis_operators
-from gibbslearn.pauli import PauliString, enumerate_geometric_k_local, from_masks
+from gibbslearn.pauli import PauliString, canonical_order, enumerate_geometric_k_local
 from gibbslearn.states import ExpectationTable, required_strings
 
 
@@ -98,9 +99,10 @@ class TestConfig:
         assert main(["gen", "--config", str(path), "--out", str(out)]) == 0
         table_path = out / "table_T1p0.tsv"
         basis = enumerate_geometric_k_local(4, 1)
-        expect = required_strings(basis, string_basis_operators(basis))
+        x, z = required_strings(basis, string_basis_operators(basis))
+        order = canonical_order(x, z)
         table = ExpectationTable.load(table_path)
-        assert from_masks(4, table.x, table.z) == sorted(expect, key=PauliString.sort_key)
+        assert np.array_equal(table.x, x[order]) and np.array_equal(table.z, z[order])
         # learn reads no config file and defaults to 2-local terms, whose
         # closure needs strings this 1-local table lacks
         assert main(["learn", "--table", str(table_path)]) == 4
@@ -201,6 +203,15 @@ class TestGenLearn:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: BadTable:") and message in err[0]
 
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_learn_unreadable_table_file(self, tmp_path, capsys, where):
+        path = tmp_path / "table.tsv"
+        if where == "directory":
+            path.mkdir()
+        assert main(["learn", "--table", str(path)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: BadTable: table file {path}:")
+
     def test_learn_not_stationary_exit_code(self, tmp_path):
         # a state far from thermal for the probed terms: maximally mixed
         # has every direction stationary, so instead use a learn run whose
@@ -225,6 +236,62 @@ class TestGenLearn:
         table.save(path)
         rc = main(["learn", "--table", str(path), "--k-local", "1"])
         assert rc in (2, 3)  # terminates without a candidate
+
+
+@pytest.fixture(scope="module")
+def tables_n4_n5(tmp_path_factory):
+    """Exact n=4 and n=5 tables and their truth files, as ``gen`` writes them."""
+    out = tmp_path_factory.mktemp("tables")
+    for n in (4, 5):
+        assert main(["gen", "--n", str(n), "--out", str(out / f"n{n}")]) == 0
+    return out
+
+
+class TestTruthFile:
+    """Every fault of a ``learn --truth`` file is exit code 4 with one error line."""
+
+    def learn_error(self, capsys, table, truth):
+        rc = main(["learn", "--table", str(table), "--truth", str(truth)])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 4 and len(err) == 1
+        return err[0]
+
+    def test_missing(self, tables_n4_n5, capsys):
+        truth = tables_n4_n5 / "n4" / "absent.txt"
+        err = self.learn_error(capsys, tables_n4_n5 / "n4" / "table_T1p0.tsv", truth)
+        assert err.startswith(f"config error: truth file {truth}:")
+
+    def test_non_numeric_coefficient(self, tables_n4_n5, tmp_path, capsys):
+        truth = tmp_path / "truth.txt"
+        truth.write_text("# n = 4\n# temperature = 1.0\n-1.0\tX0 X1\nstrong\tZ0 Z1\n")
+        err = self.learn_error(capsys, tables_n4_n5 / "n4" / "table_T1p0.tsv", truth)
+        assert err.startswith("config error: truth file") and "'strong'" in err
+
+    def test_other_site_count(self, tables_n4_n5, capsys):
+        err = self.learn_error(
+            capsys, tables_n4_n5 / "n4" / "table_T1p0.tsv", tables_n4_n5 / "n5" / "truth_T1p0.txt"
+        )
+        assert err == "error: DimensionMismatch: truth file on 5 sites, table on 4"
+
+
+def test_gen_and_learn_build_no_table_row_as_object(tmp_path, monkeypatch):
+    # the table's strings stay uint64 masks from the closure to the file and
+    # back; only the basis and the Hamiltonian's terms are PauliStrings
+    built = []
+    original = PauliString.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(PauliString, "__post_init__", counting)
+    out = tmp_path / "tables"
+    assert main(["gen", "--n", "6", "--temperatures", "1,10", "--out", str(out)]) == 0
+    assert 0 < len(built) < 200
+    built.clear()
+    args = ["--table", str(out / "table_T1p0.tsv"), "--truth", str(out / "truth_T1p0.txt")]
+    assert main(["learn", *args]) == 0
+    assert 0 < len(built) < 200
 
 
 class TestSweep:

@@ -40,7 +40,8 @@ class TestGram:
     def test_tracial_state_gives_identity(self):
         rho = gibbs_density(PauliOperator.zero(2), 1.0)
         b = all_strings(2, include_identity=False)
-        table = build_table(rho, {PauliString(2, p.x ^ q.x, p.z ^ q.z) for p in b for q in b})
+        products = {PauliString(2, p.x ^ q.x, p.z ^ q.z) for p in b for q in b}
+        table = build_table(rho, masks(list(products)))
         gram = MomentAssembler(b, []).gram(table)
         assert np.abs(gram - np.eye(len(b))).max() < 1e-13
 
@@ -48,7 +49,7 @@ class TestGram:
         h = PauliOperator.from_terms(1, [(-1.0, "Z0")])
         rho = gibbs_density(h, 1.0)
         b = [PauliString.from_text("X0", 1), PauliString.from_text("Y0", 1)]
-        table = build_table(rho, all_strings(1))
+        table = build_table(rho, masks(all_strings(1)))
         gram = MomentAssembler(b, []).gram(table)
         t = np.tanh(1.0)
         expected = np.array([[1.0, 1j * t], [-1j * t, 1.0]])
@@ -148,7 +149,7 @@ class TestDeltaAndH:
         h = PauliOperator.from_terms(2, [(-0.7, "Z0"), (-0.7, "Z1")])
         rho = gibbs_density(h, 1.0)
         b = [PauliString.from_text("Z0", 2), PauliString.from_text("Z1", 2)]
-        table = build_table(rho, all_strings(2))
+        table = build_table(rho, masks(all_strings(2)))
         asm = MomentAssembler(b, [PauliOperator.from_terms(2, [(1.0, "Z0 Z1")])])
         coeffs = orthonormalize(asm.gram(table)).coeffs
         raw = coeffs.conj().T @ asm.commutator_tensor(table)[0] @ coeffs
@@ -393,7 +394,7 @@ class TestSiteCount:
         # the n=4 table holds every mask of the n=3 closure, so only the
         # site-count check keeps it from being read as a sub-chain
         asm = MomentAssembler(enumerate_geometric_k_local(3, 2), [])
-        table = build_table(gibbs_density(xxz_chain(4), 1.0), all_strings(4))
+        table = build_table(gibbs_density(xxz_chain(4), 1.0), masks(all_strings(4)))
         with pytest.raises(DimensionMismatch, match="table on 4 sites, assembler on 3"):
             asm.gram(table)
         with pytest.raises(DimensionMismatch):

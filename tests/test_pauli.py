@@ -12,15 +12,16 @@ from gibbslearn.pauli import (
     commutator,
     dense_matrix,
     enumerate_geometric_k_local,
-    from_masks,
     masks,
     multiply,
+    parse_texts,
     product_closure,
     string_dense,
+    texts,
     unique_masks,
 )
 
-from oracles import kron_operator, kron_string
+from oracles import kron_operator, kron_string, letters_sort_key, letters_text, mask_strings
 
 
 @st.composite
@@ -145,38 +146,37 @@ class TestEnumeration:
         a = enumerate_geometric_k_local(5, 2)
         b = enumerate_geometric_k_local(5, 2)
         assert a == b
-        keys = [s.sort_key() for s in a]
+        keys = [letters_sort_key(s) for s in a]
         assert keys == sorted(keys)
+        assert [a[i] for i in canonical_order(*masks(a))] == a
 
-
-def letters_sort_key(s):
-    """The canonical order read off the site-to-letter map, one site at a time."""
-    if s.is_identity:
-        return (0, 0, 0, ())
-    sites = s.support
-    first, last = sites[0], sites[-1]
-    window = tuple(s.letters.get(site, "I") for site in range(first, last + 1))
-    return (1, first, last - first + 1, window)
+    def test_canonical_order_beyond_64_sites(self):
+        # built in order, so the n=100 basis needs no 64-bit mask
+        a = enumerate_geometric_k_local(100, 2)
+        assert a == sorted(a, key=letters_sort_key)
 
 
 def closure_strings(b):
     closure = product_closure(b, b)
-    return from_masks(b[0].n, closure.x, closure.z)
+    return mask_strings(b[0].n, closure.x, closure.z)
 
 
 class TestSortKey:
+    """Every sorted list of strings follows the reference key ``letters_sort_key``."""
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_string(self, n):
-        for x in range(1 << n):
-            for z in range(1 << n):
-                s = PauliString(n, x, z)
-                assert s.sort_key() == letters_sort_key(s)
+        strings = all_strings(n)
+        assert len(strings) == 4**n
+        assert strings == sorted(strings, key=letters_sort_key)
+        assert all_strings(n, include_identity=False) == strings[1:]
 
     def test_two_local_closure_n6(self):
         b = enumerate_geometric_k_local(6, 2)
         strings = closure_strings(b)
         assert len(strings) == 4096
-        assert [s.sort_key() for s in strings] == [letters_sort_key(s) for s in strings]
+        op = PauliOperator(6, {s: 1.0 for s in reversed(strings)})
+        assert op.strings() == sorted(strings, key=letters_sort_key)
 
 
 def assert_canonical_order(strings, seed):
@@ -307,8 +307,73 @@ class TestOperator:
         for x in range(1 << n):
             for z in range(1 << n):
                 s = PauliString(n, x, z)
-                text = " ".join(f"{s.letters[k]}{k}" for k in sorted(s.letters)) or "I"
+                text = letters_text(s)
                 assert s.to_text() == text
                 assert PauliString.from_text(text, n) == s
                 shuffled = " ".join(reversed(text.split()))
                 assert PauliString.from_text(shuffled, n) == s
+
+
+def assert_text_roundtrip(x, z, n):
+    x, z = np.asarray(x, dtype=np.uint64), np.asarray(z, dtype=np.uint64)
+    lines = texts(x, z)
+    assert lines == [letters_text(s) for s in mask_strings(n, x, z)]
+    back_x, back_z = parse_texts(lines, n)
+    assert back_x.dtype == back_z.dtype == np.uint64
+    assert np.array_equal(back_x, x) and np.array_equal(back_z, z)
+
+
+class TestTextCodec:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_string(self, n):
+        x, z = np.divmod(np.arange(4**n), 1 << n)
+        assert_text_roundtrip(x, z, n)
+
+    def test_two_local_closure_n6(self):
+        closure = product_closure(*[enumerate_geometric_k_local(6, 2)] * 2)
+        assert len(closure.x) == 4096
+        assert_text_roundtrip(closure.x, closure.z, 6)
+
+    def test_top_bit_n64(self):
+        words = np.random.default_rng(64).integers(0, 1 << 64, size=(2, 500), dtype=np.uint64)
+        assert ((words >> np.uint64(63)) == 1).any()
+        assert_text_roundtrip(*words, 64)
+        top = np.array([1 << 63], dtype=np.uint64)
+        assert texts(top, top) == ["Y63"]
+
+    def test_identity_and_spelling(self):
+        x, z = parse_texts(["I", "", "  ", "X1 X0", "X0 X1", " Z2\t Y0 "], 3)
+        assert x.tolist() == [0, 0, 0, 3, 3, 1]
+        assert z.tolist() == [0, 0, 0, 0, 0, 5]
+        assert texts(x, z) == ["I", "I", "I", "X0 X1", "X0 X1", "Y0 Z2"]
+
+    def test_empty(self):
+        x, z = parse_texts([], 3)
+        assert x.dtype == z.dtype == np.uint64 and len(x) == len(z) == 0
+        assert texts(x, z) == []
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("Z1 Q1", "cannot parse Pauli token 'Q1'"),
+            ("X0 Xa", "cannot parse Pauli token 'Xa'"),
+            ("X7", "site 7 outside [0, 4)"),
+            ("X0 Z1 Y0", "site 0 listed twice in 'X0 Z1 Y0'"),
+        ],
+        ids=["letter", "site", "range", "twice"],
+    )
+    def test_bad_row_among_many(self, bad, message):
+        # the rows before the bad one parse X0 and Z1 first, so a duplicate is
+        # caught on tokens already parsed
+        good = texts(*np.divmod(np.arange(256), 16))
+        with pytest.raises(ValueError) as single:
+            PauliString.from_text(bad, 4)
+        with pytest.raises(ValueError) as many:
+            parse_texts(good + [bad] + good, 4)
+        assert str(single.value) == str(many.value) == message
+
+    def test_beyond_64_sites(self):
+        # PauliString text is not bounded by the uint64 masks of a table
+        s = PauliString(100, 1 << 99, (1 << 99) | 1)
+        assert s.to_text() == "Z0 Y99"
+        assert PauliString.from_text("Y99 Z0", 100) == s

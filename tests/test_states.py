@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from gibbslearn import states
-from gibbslearn.errors import BadTable, DimensionMismatch, IncompleteData
+from gibbslearn.errors import BadTable, IncompleteData
 from gibbslearn.models import string_basis_operators, xxz_chain
 from gibbslearn.moments import MomentAssembler
 from gibbslearn.pauli import (
@@ -12,7 +12,6 @@ from gibbslearn.pauli import (
     all_strings,
     dense_matrix,
     enumerate_geometric_k_local,
-    from_masks,
     masks,
     multiply,
     product_closure,
@@ -28,7 +27,7 @@ from gibbslearn.states import (
     write_tsv,
 )
 
-from oracles import kron_operator, kron_string
+from oracles import kron_operator, kron_string, letters_sort_key, mask_strings
 
 
 def asymmetric_chain(n, seed=0):
@@ -187,15 +186,15 @@ class TestRequiredStrings:
         ]
         h = string_basis_operators(b) + straddling
         expect = enumerate_closure(b, h)
-        got = required_strings(b, h)
+        got = mask_strings(n, *required_strings(b, h))
         assert len(got) == len(expect) and set(got) == expect
-        assert MomentAssembler(b, h).required_strings() == got
+        assert_same_masks(MomentAssembler(b, h).required_strings(), required_strings(b, h))
 
     def test_closure_site_limit(self):
         # the top mask bit is a key like any other; one site more is refused
         b = [PauliString.from_text(t, 64) for t in ("X63", "Y0", "Z31 Z32")]
         h = [PauliOperator.from_terms(64, [(1.0, "Y62 Z63")])]
-        assert set(required_strings(b, h)) == enumerate_closure(b, h)
+        assert set(mask_strings(64, *required_strings(b, h))) == enumerate_closure(b, h)
         too_big = [PauliString.from_text("X64", 65)]
         with pytest.raises(ValueError, match="at most 64 sites"):
             required_strings(too_big, [])
@@ -205,14 +204,14 @@ class TestRequiredStrings:
     def test_single_qubit_closure(self):
         b = [PauliString.from_text("X0", 1)]
         h = [PauliOperator.from_terms(1, [(1.0, "Z0")])]
-        got = set(required_strings(b, h))
+        got = set(mask_strings(1, *required_strings(b, h)))
         expect = {PauliString.from_text(t, 1) for t in ("I", "Z0")}
         assert expect <= got <= {PauliString.from_text(t, 1) for t in ("I", "X0", "Y0", "Z0")}
 
     def test_identity_only(self):
         b = [PauliString.identity(2)]
-        assert required_strings(b, []) == [PauliString.identity(2)]
-        assert required_strings([], []) == []
+        assert_same_masks(required_strings(b, []), masks([PauliString.identity(2)]))
+        assert_same_masks(required_strings([], []), masks([]))
 
     def test_closure_order(self):
         # distinct strings, in the closure's (x, z) mask order, on every call
@@ -220,9 +219,10 @@ class TestRequiredStrings:
         h = string_basis_operators(b)
         got = required_strings(b, h)
         closure = product_closure(b, b)
-        assert got == from_masks(5, closure.x, closure.z) == required_strings(b, h)
-        assert got == MomentAssembler(b, h).required_strings()
-        keys = [(s.x, s.z) for s in got]
+        assert_same_masks(got, (closure.x, closure.z))
+        assert_same_masks(got, required_strings(b, h))
+        assert_same_masks(got, MomentAssembler(b, h).required_strings())
+        keys = list(zip(*(m.tolist() for m in got)))
         assert keys == sorted(set(keys))
 
     def test_locality_of_products(self):
@@ -234,7 +234,7 @@ class TestRequiredStrings:
         for n, strict in ((4, False), (7, True)):
             b = enumerate_geometric_k_local(n, 2)
             h = [PauliOperator.from_string(s) for s in b]
-            got = required_strings(b, h)
+            got = mask_strings(n, *required_strings(b, h))
             if strict:
                 assert len(got) < 4**n
             for s in got:
@@ -252,6 +252,12 @@ def assert_matches_expectation(table, rho, strings):
     assert table.lookup(*masks([PauliString.identity(rho.n)])).tolist() == [1.0]
 
 
+def assert_same_masks(a, b):
+    """Two (x, z) pairs of uint64 mask arrays hold the same strings in the same order."""
+    for got, want in zip(a, b, strict=True):
+        assert got.dtype == want.dtype == np.uint64 and np.array_equal(got, want)
+
+
 def assert_same_table(a, b):
     """Same strings in the same order, bit-identical values."""
     assert a.n == b.n
@@ -264,29 +270,29 @@ class TestBuildTable:
     def test_every_string(self, n):
         rho = gibbs_density(asymmetric_chain(n), 0.8)
         strings = all_strings(n)
-        assert_matches_expectation(build_table(rho, strings), rho, strings)
+        assert_matches_expectation(build_table(rho, masks(strings)), rho, strings)
 
     def test_against_kron_oracle(self):
         # the Walsh-Hadamard route against literal tensor products
         rho = gibbs_density(asymmetric_chain(3, seed=1), 1.2)
-        table = build_table(rho, all_strings(3))
+        table = build_table(rho, masks(all_strings(3)))
         ref = [np.trace(rho.matrix @ kron_string(s)).real for s in all_strings(3)]
         assert np.abs(table.lookup(*masks(all_strings(3))) - ref).max() < 1e-14
 
     def test_two_local_closure_n6(self):
         rho = gibbs_density(asymmetric_chain(6, seed=2), 1.0)
         b = enumerate_geometric_k_local(6, 2)
-        strings = required_strings(b, string_basis_operators(b))
-        assert_matches_expectation(build_table(rho, strings), rho, strings)
+        needed = required_strings(b, string_basis_operators(b))
+        assert_matches_expectation(build_table(rho, needed), rho, mask_strings(6, *needed))
 
     def test_block_boundary(self, monkeypatch):
         # 3 x-masks per gathered block: the distinct x-masks do not fill the last block
         n = 4
         rho = gibbs_density(asymmetric_chain(n, seed=3), 1.0)
         strings = all_strings(n)
-        whole = build_table(rho, strings)
+        whole = build_table(rho, masks(strings))
         monkeypatch.setattr(states, "GATHER_ENTRIES", 3 << n)
-        blocked = build_table(rho, strings)
+        blocked = build_table(rho, masks(strings))
         assert (1 << n) % 3 != 0
         assert_same_table(blocked, whole)
         assert_matches_expectation(blocked, rho, strings)
@@ -296,14 +302,16 @@ class TestBuildTable:
         strings = all_strings(3)
         shuffled = list(strings)
         np.random.default_rng(5).shuffle(shuffled)
-        table = build_table(rho, shuffled)
-        assert from_masks(3, table.x, table.z) == strings
-        assert_same_table(table, build_table(rho, set(strings)))
+        table = build_table(rho, masks(shuffled))
+        assert mask_strings(3, table.x, table.z) == strings
+        assert_same_table(table, build_table(rho, masks(list(set(strings)))))
 
-    def test_rejects_other_site_count(self):
+    def test_rejects_mask_outside_sites(self):
+        # a mask pair carries no site count: the table constructor checks it
         rho = gibbs_density(xxz_chain(3), 1.0)
-        with pytest.raises(DimensionMismatch):
-            build_table(rho, [PauliString.from_text("X0", 2)])
+        outside = masks([PauliString.from_text(t, 4) for t in ("Z0", "X3")])
+        with pytest.raises(ValueError, match="outside the table's 3 sites"):
+            build_table(rho, outside)
 
 
 class TestTable:
@@ -317,7 +325,7 @@ class TestTable:
     def test_build_and_lookup(self):
         rho = gibbs_density(xxz_chain(3), 1.0)
         strings = all_strings(3)
-        table = build_table(rho, set(strings))
+        table = build_table(rho, masks(list(set(strings))))
         # any query order, repeats included, reads the entry each string equals
         query = [strings[i] for i in np.random.default_rng(1).integers(0, len(strings), 200)]
         expect = [1.0 if s.is_identity else expectation(rho, s) for s in query]
@@ -354,7 +362,7 @@ class TestTable:
 
     def test_roundtrip(self, tmp_path, rng):
         rho = gibbs_density(xxz_chain(3), 1.0)
-        table = build_table(rho, all_strings(3))
+        table = build_table(rho, masks(all_strings(3)))
         noisy = add_noise(table, 1e-3, 77)
         path = tmp_path / "table.tsv"
         noisy.save(path)
@@ -370,8 +378,8 @@ class TestTable:
         # like one built in canonical order
         n = 4
         basis = enumerate_geometric_k_local(n, 2)
-        needed = required_strings(basis, string_basis_operators(basis))
-        strings = sorted(needed, key=PauliString.sort_key)
+        needed = mask_strings(n, *required_strings(basis, string_basis_operators(basis)))
+        strings = sorted(needed, key=letters_sort_key)
         rho = gibbs_density(xxz_chain(n), 1.0)
         x, z = masks(strings)
         exact = np.array([1.0 if s.is_identity else expectation(rho, s) for s in strings])
@@ -380,7 +388,7 @@ class TestTable:
         a = ExpectationTable(n, x, z, exact)
         b = ExpectationTable(n, x[order], z[order], exact[order])
         assert_same_table(a, b)
-        assert from_masks(n, a.x, a.z) == strings
+        assert mask_strings(n, a.x, a.z) == strings
         a.save(tmp_path / "a.tsv")
         b.save(tmp_path / "b.tsv")
         assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
@@ -421,12 +429,12 @@ class TestTable:
 class TestNoise:
     def test_zero_sigma_identity(self):
         rho = gibbs_density(xxz_chain(3), 1.0)
-        table = build_table(rho, all_strings(3))
+        table = build_table(rho, masks(all_strings(3)))
         assert_same_table(add_noise(table, 0.0, 123), table)
 
     def test_determinism(self):
         rho = gibbs_density(xxz_chain(3), 1.0)
-        table = build_table(rho, all_strings(3))
+        table = build_table(rho, masks(all_strings(3)))
         a = add_noise(table, 1e-3, 5)
         b = add_noise(table, 1e-3, 5)
         assert_same_table(a, b)
@@ -435,7 +443,7 @@ class TestNoise:
 
     def test_identity_untouched_and_no_clamping(self):
         rho = gibbs_density(xxz_chain(2), 1.0)
-        table = build_table(rho, all_strings(2))
+        table = build_table(rho, masks(all_strings(2)))
         noisy = add_noise(table, 50.0, 3)
         identity = (noisy.x | noisy.z) == 0
         assert noisy.values[identity].tolist() == [1.0]
@@ -443,7 +451,7 @@ class TestNoise:
 
     def test_negative_sigma_rejected(self):
         rho = gibbs_density(xxz_chain(2), 1.0)
-        table = build_table(rho, all_strings(2))
+        table = build_table(rho, masks(all_strings(2)))
         with pytest.raises(ValueError):
             add_noise(table, -0.1, 0)
 
@@ -461,6 +469,6 @@ class TestNoise:
 
     def test_variance_composition(self):
         rho = gibbs_density(xxz_chain(2), 1.0)
-        table = build_table(rho, all_strings(2))
+        table = build_table(rho, masks(all_strings(2)))
         twice = add_noise(add_noise(table, 3e-4, 1), 4e-4, 2)
         assert abs(twice.noise_sigma - 5e-4) < 1e-18
