@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import math
 import os
 import statistics
 import sys
@@ -86,17 +87,23 @@ class ExperimentConfig:
     n: int = 4
     model: str = "xxz"  # xxz | custom
     xxz_delta: float = 0.5
-    xxz_anisotropy_axis: str = "z"
     custom_terms: List[Tuple[float, str]] = field(default_factory=list)
     temperatures: List[float] = field(default_factory=lambda: [1.0])
     sigma_grid: List[float] = field(default_factory=lambda: [0.0])
     runs_per_point: int = 10
     k_local: int = 2
     seed: int = 0
-    epsilon_w_override: Optional[float] = None
+    epsilon_w: Optional[float] = None
     workers: int = 1
 
     def validate(self):
+        for key, hint in _KEY_TYPES.items():
+            value = getattr(self, key)
+            if _READERS[hint] in (float, _float_list) and value is not None:
+                if not np.isfinite(value).all():
+                    raise ConfigError(f"[experiment] {key} = {value!r}: must be finite")
+        if not all(math.isfinite(coeff) for coeff, _ in self.custom_terms):
+            raise ConfigError("[terms] coefficients must be finite")
         if self.n < 2:
             raise ConfigError(f"[experiment] n = {self.n}: need at least 2 sites")
         if self.n > dense_limit():
@@ -115,14 +122,18 @@ class ExperimentConfig:
             raise ConfigError("[experiment] sigma_grid: must be nonnegative")
         if self.runs_per_point < 1:
             raise ConfigError("[experiment] runs_per_point: must be at least 1")
+        if self.workers < 1:
+            raise ConfigError("[experiment] workers: must be at least 1")
         if self.model not in ("xxz", "custom"):
             raise ConfigError(f"[experiment] model = {self.model!r}: unknown model")
         if self.model == "custom" and not self.custom_terms:
             raise ConfigError("[terms] empty: custom model needs at least one term")
+        if self.model == "xxz" and self.custom_terms:
+            raise ConfigError("[terms] given without model = custom")
 
     def hamiltonian(self) -> PauliOperator:
         if self.model == "xxz":
-            return models.xxz_chain(self.n, self.xxz_delta, self.xxz_anisotropy_axis)
+            return models.xxz_chain(self.n, self.xxz_delta)
         return PauliOperator.from_terms(self.n, self.custom_terms)
 
 
@@ -147,6 +158,12 @@ _KEY_TYPES = {
 
 
 def load_config(path) -> ExperimentConfig:
+    cfg = _read_config(path)
+    cfg.validate()
+    return cfg
+
+
+def _read_config(path) -> ExperimentConfig:
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
@@ -167,13 +184,12 @@ def load_config(path) -> ExperimentConfig:
                 cfg.custom_terms.append((float(coeff), text))
             except ValueError as exc:
                 raise ConfigError(f"[terms] {key} = {raw!r}: expected '<coeff> <paulis>'") from exc
-    cfg.validate()
     return cfg
 
 
 def _config_from_args(args) -> ExperimentConfig:
     """The config file's values, each overridden by its flag when that is given."""
-    cfg = load_config(args.config) if args.config else ExperimentConfig()
+    cfg = _read_config(args.config) if args.config else ExperimentConfig()
     for key in _KEY_TYPES:
         value = getattr(args, key, None)
         if value is not None:
@@ -198,6 +214,8 @@ def _format_temperature(t: float) -> str:
 
 def cmd_gen(args) -> int:
     cfg = _config_from_args(args)
+    if not (math.isfinite(args.sigma) and args.sigma >= 0):
+        raise ConfigError(f"--sigma {args.sigma!r}: must be finite and nonnegative")
     os.makedirs(args.out, exist_ok=True)
     h_true = cfg.hamiltonian()
     basis, h_terms = _string_basis(cfg.n, cfg.k_local)
@@ -248,7 +266,7 @@ def cmd_learn(args) -> int:
     assembler = MomentAssembler(basis, h_terms)
     try:
         result = reconstruct(
-            table, assembler, ReconstructOptions(epsilon_w=args.epsilon_w_override)
+            table, assembler, ReconstructOptions(epsilon_w=args.epsilon_w)
         )
     except RECONSTRUCTION_FAILURES as exc:
         print(f"reconstruction failed: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -282,7 +300,7 @@ _WORKER_CTX: dict = {}
 def _worker_init(cfg: ExperimentConfig, exact_tables: Dict[float, ExpectationTable]):
     basis, h_terms = _string_basis(cfg.n, cfg.k_local)
     _WORKER_CTX["cfg"] = cfg
-    _WORKER_CTX["opts"] = ReconstructOptions(epsilon_w=cfg.epsilon_w_override)
+    _WORKER_CTX["opts"] = ReconstructOptions(epsilon_w=cfg.epsilon_w)
     _WORKER_CTX["assembler"] = MomentAssembler(basis, h_terms)
     _WORKER_CTX["z_true"] = models.coefficient_vector(cfg.hamiltonian(), basis)
     _WORKER_CTX["tables"] = exact_tables
@@ -429,6 +447,12 @@ def cmd_verify(args) -> int:
 # -- entry point --------------------------------------------------------------
 
 
+def _add_key_flags(parser: argparse.ArgumentParser, keys):
+    """One flag per config key, ``--xxz-delta`` for ``xxz_delta``, read as the file's value is."""
+    for key in keys:
+        parser.add_argument("--" + key.replace("_", "-"), type=_READERS[_KEY_TYPES[key]])
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gibbslearn",
@@ -437,57 +461,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # flag groups, each shared by the subcommands that read it
-    experiment = argparse.ArgumentParser(add_help=False)
-    experiment.add_argument("--config", help="INI-style experiment config")
-    experiment.add_argument("--n", type=int, default=None)
-    experiment.add_argument("--model", choices=["xxz", "custom"], default=None)
-    experiment.add_argument("--xxz-delta", dest="xxz_delta", type=float, default=None)
-    experiment.add_argument(
-        "--xxz-anisotropy-axis",
-        dest="xxz_anisotropy_axis",
-        choices=["z", "y"],
-        default=None,
-    )
-    experiment.add_argument(
-        "--temperatures", type=_float_list, default=None, help="comma-separated list"
-    )
-    experiment.add_argument("--seed", type=int, default=None)
-
-    basis = argparse.ArgumentParser(add_help=False)
-    basis.add_argument("--k-local", dest="k_local", type=int, default=None)
-
-    solver = argparse.ArgumentParser(add_help=False)
-    solver.add_argument("--epsilon-w", dest="epsilon_w_override", type=float, default=None)
-
-    grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument("--sigma-grid", dest="sigma_grid", type=_float_list, default=None)
-    grid.add_argument("--runs-per-point", dest="runs_per_point", type=int, default=None)
-    grid.add_argument("--workers", type=int, default=None)
-
-    gen = sub.add_parser(
-        "gen", parents=[experiment, basis], help="write expectation tables", allow_abbrev=False
-    )
+    gen = sub.add_parser("gen", help="write expectation tables", allow_abbrev=False)
+    gen.add_argument("--config", help="INI-style experiment config")
+    _add_key_flags(gen, ["n", "model", "xxz_delta", "temperatures", "seed", "k_local"])
+    gen.add_argument("--sigma", type=float, default=0.0, help="optional Gaussian noise level")
     gen.add_argument("--out", required=True, help="output directory")
-    gen.add_argument(
-        "--sigma", type=float, default=0.0, help="optional Gaussian noise level"
-    )
     gen.set_defaults(func=cmd_gen)
 
-    learn = sub.add_parser(
-        "learn", parents=[basis, solver], help="reconstruct from a table file",
-        allow_abbrev=False,
-    )
+    learn = sub.add_parser("learn", help="reconstruct from a table file", allow_abbrev=False)
     learn.add_argument("--table", required=True)
-    learn.add_argument("--truth", default=None, help="truth file for recovery metrics")
-    learn.add_argument("--out", default=None, help="write the result record here")
+    learn.add_argument("--truth", help="truth file for recovery metrics")
+    learn.add_argument("--out", help="write the result record here")
+    _add_key_flags(learn, ["k_local", "epsilon_w"])
     learn.set_defaults(func=cmd_learn)
 
-    sweep = sub.add_parser(
-        "sweep", parents=[experiment, basis, solver, grid], help="noise sweep benchmark",
-        allow_abbrev=False,
-    )
-    sweep.add_argument("--out-dir", dest="out_dir", required=True)
+    sweep = sub.add_parser("sweep", help="noise sweep benchmark", allow_abbrev=False)
+    sweep.add_argument("--config", help="INI-style experiment config")
+    _add_key_flags(sweep, _KEY_TYPES)
+    sweep.add_argument("--out-dir", required=True)
     sweep.set_defaults(func=cmd_sweep)
 
     verify = sub.add_parser(

@@ -62,8 +62,9 @@ class DeltaNotPositive(GibbsLearnError):
 class NormalizationDegenerate(GibbsLearnError):
     """All candidate kernel directions have vanishing expectation value.
 
-    The normalization hyperplane of the optimization is empty; the
-    fixed-temperature variant can be used instead.
+    The normalization hyperplane of the optimization is empty.  A library
+    caller can pin the temperature instead, with
+    ``ReconstructOptions(sdp=SdpOptions(fixed_temperature=T))``.
     """
 
 

@@ -11,7 +11,7 @@ diagnostics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, Optional
 
@@ -19,14 +19,11 @@ import numpy as np
 import scipy.linalg
 
 from . import sdp as sdp_mod
-from .errors import NormalizationDegenerate, SolverFailure
+from .errors import SolverFailure
 from .moments import MomentAssembler
 from .pauli import PauliOperator
 from .sdp import SdpOptions, SdpProblem, SolverStatus
 from .states import ExpectationTable
-
-NORMALIZATION_TOL = 1e-12
-
 
 class Verdict(str, Enum):
     NOT_STATIONARY = "NotStationary"
@@ -41,7 +38,6 @@ class ReconstructOptions:
     delta_floor: float = 1e-12
     project_delta: bool = False  # experimental: restrict instead of failing
     certificate_tol_rel: float = 1e-6  # NotGibbs threshold, relative to |L0|
-    fixed_temperature_fallback: Optional[float] = None  # used when normalization degenerates
     sdp: SdpOptions = field(default_factory=SdpOptions)
 
 
@@ -116,8 +112,8 @@ def reconstruct(
     The assembler holds the perturbing strings and the candidate terms
     (``assembler.b``, ``assembler.h_terms``); one serves every table.
 
-    Degenerate inputs raise (GramDegenerate, NormalizationDegenerate,
-    SolverFailure); an empty quasi-symmetry kernel and a certified negative
+    Degenerate inputs raise (GramDegenerate, NormalizationDegenerate unless
+    ``opts.sdp`` fixes the temperature, SolverFailure); an empty quasi-symmetry kernel and a certified negative
     margin are verdicts, not errors.  Noise that breaks modular positivity
     surfaces as GramDegenerate: on a self-adjoint string basis the modular
     matrix is a *-congruence of the conjugated Gram matrix, so its smallest
@@ -153,18 +149,7 @@ def reconstruct(
         )
         diag.projected_dim = l0.shape[0]
 
-    fixed_temperature = opts.sdp.fixed_temperature
-    w_exps = moments.h_tilde_expectations
-    if np.abs(w_exps).max() <= NORMALIZATION_TOL:
-        if opts.fixed_temperature_fallback is None:
-            raise NormalizationDegenerate(
-                "every kernel direction has vanishing expectation value; "
-                "set fixed_temperature_fallback to use the unnormalized variant"
-            )
-        fixed_temperature = opts.fixed_temperature_fallback
-
-    sdp_opts = replace(opts.sdp, fixed_temperature=fixed_temperature)
-    problem = SdpProblem(l0, h_tilde, w_exps, sdp_opts)
+    problem = SdpProblem(l0, h_tilde, moments.h_tilde_expectations, opts.sdp)
     solution = sdp_mod.solve(problem)
     diag.solver_status = solution.status.value
     diag.solver_iterations = solution.iterations

@@ -9,25 +9,15 @@ import numpy as np
 from .pauli import PauliOperator, PauliString, enumerate_geometric_k_local
 
 
-def xxz_chain(n: int, delta: float = 0.5, anisotropy_axis: str = "z") -> PauliOperator:
-    """Anisotropic Heisenberg ferromagnet on an open chain.
-
-    Default form: -(XX + YY + delta * ZZ) on each bond.  With
-    ``anisotropy_axis="y"`` the anisotropy is stacked onto the YY coupling
-    instead, i.e. -(XX + (1 + delta) * YY) per bond.
-    """
+def xxz_chain(n: int, delta: float = 0.5) -> PauliOperator:
+    """Anisotropic Heisenberg ferromagnet on an open chain: -(XX + YY + delta * ZZ) per bond."""
     if n < 2:
         raise ValueError("chain needs at least two sites")
-    if anisotropy_axis not in ("z", "y"):
-        raise ValueError(f"anisotropy axis must be 'z' or 'y', got {anisotropy_axis!r}")
     terms = []
     for i in range(n - 1):
         terms.append((-1.0, f"X{i} X{i+1}"))
-        if anisotropy_axis == "z":
-            terms.append((-1.0, f"Y{i} Y{i+1}"))
-            terms.append((-delta, f"Z{i} Z{i+1}"))
-        else:
-            terms.append((-(1.0 + delta), f"Y{i} Y{i+1}"))
+        terms.append((-1.0, f"Y{i} Y{i+1}"))
+        terms.append((-delta, f"Z{i} Z{i+1}"))
     return PauliOperator.from_terms(n, terms)
 
 

@@ -359,8 +359,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
         if abs(w[pivot]) <= PIVOT_TOL:
             raise NormalizationDegenerate(
                 "all kernel directions have vanishing expectation; "
-                "the normalization hyperplane is empty (fixed-temperature "
-                "variant available via options)"
+                "the normalization hyperplane is empty"
             )
         free = [a for a in range(q) if a != pivot]
         a_free = [h_mats[a] - (w[a] / w[pivot]) * h_mats[pivot] for a in free]

@@ -1,10 +1,15 @@
+import argparse
 import csv
+import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gibbslearn.cli import (
     ExperimentConfig,
+    _config_from_args,
     build_parser,
     load_config,
     load_truth,
@@ -16,6 +21,23 @@ from gibbslearn.errors import ConfigError
 from gibbslearn.models import string_basis_operators
 from gibbslearn.pauli import PauliString, canonical_order, enumerate_geometric_k_local
 from gibbslearn.states import ExpectationTable, required_strings
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# a value other than the default for every [experiment] key
+KEY_VALUES = {
+    "n": "5",
+    "model": "custom",
+    "xxz_delta": "0.25",
+    "temperatures": "1,2",
+    "sigma_grid": "1e-6,1e-5",
+    "runs_per_point": "3",
+    "k_local": "1",
+    "seed": "9",
+    "epsilon_w": "1e-7",
+    "workers": "2",
+}
 
 
 def small_sweep_config(**overrides):
@@ -77,7 +99,9 @@ class TestConfig:
         with pytest.raises(ConfigError, match="bogus"):
             load_config(path)
 
-    @pytest.mark.parametrize("key", ["include_identity", "project_delta"])
+    @pytest.mark.parametrize(
+        "key", ["include_identity", "project_delta", "xxz_anisotropy_axis", "epsilon_w_override"]
+    )
     def test_removed_key_is_config_error(self, tmp_path, capsys, key):
         path = tmp_path / "exp.ini"
         path.write_text(f"[experiment]\nn = 4\n{key} = false\n")
@@ -91,6 +115,43 @@ class TestConfig:
             load_config(path)
         assert main(["gen", "--config", str(path), "--out", str(tmp_path / "x")]) == 4
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "experiment, term, message",
+        [
+            ("n = 2\n", "-1.0 X0", "[terms] given without model = custom"),
+            ("n = 2\nmodel = custom\n", "nan X0", "[terms] coefficients must be finite"),
+        ],
+        ids=["no-custom-model", "nan-coefficient"],
+    )
+    def test_bad_terms_are_config_error(self, tmp_path, capsys, experiment, term, message):
+        path = tmp_path / "exp.ini"
+        path.write_text(f"[experiment]\n{experiment}[terms]\nt1 = {term}\n")
+        assert main(["gen", "--config", str(path), "--out", str(tmp_path / "x")]) == 4
+        assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--sigma", "-1"],
+            ["gen", "--sigma", "nan"],
+            ["gen", "--temperatures", "nan"],
+            ["gen", "--temperatures", "inf"],
+            ["gen", "--xxz-delta", "nan"],
+            ["gen", "--model", "bogus"],
+            ["sweep", "--sigma-grid", "nan"],
+            # validation raises before a pool starts
+            ["sweep", "--workers", "0"],
+            ["sweep", "--workers", "-1"],
+        ],
+    )
+    def test_bad_flag_value_is_config_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main([*argv, "--out" if argv[0] == "gen" else "--out-dir", str(out)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert not out.exists()
 
     def test_gen_takes_k_local_from_config(self, tmp_path):
         path = tmp_path / "exp.ini"
@@ -125,10 +186,14 @@ class TestConfig:
         args = build_parser().parse_args(
             ["sweep", "--config", str(path), "--seed", "9", "--out-dir", "x"]
         )
-        from gibbslearn.cli import _config_from_args
-
         cfg = _config_from_args(args)
         assert cfg.n == 4 and cfg.seed == 9  # file value kept, flag wins
+        # the file is checked only with the flags applied
+        path.write_text("[experiment]\nn = 2\n[terms]\nt1 = -1.0 X0\n")
+        args = build_parser().parse_args(
+            ["sweep", "--config", str(path), "--model", "custom", "--out-dir", "x"]
+        )
+        assert _config_from_args(args).custom_terms == [(-1.0, "X0")]
 
 
 class TestGenLearn:
@@ -236,6 +301,18 @@ class TestGenLearn:
         table.save(path)
         rc = main(["learn", "--table", str(path), "--k-local", "1"])
         assert rc in (2, 3)  # terminates without a candidate
+
+    def test_learn_normalization_degenerate(self, tmp_path, capsys):
+        # on 1-local terms the kernel is the total magnetization of the XXZ
+        # chain, whose expectation vanishes: the normalization has no solution
+        out = tmp_path / "tables"
+        assert main(["gen", "--n", "3", "--temperatures", "1", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["learn", "--table", str(out / "table_T1p0.tsv"), "--k-local", "1"]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "reconstruction failed: NormalizationDegenerate: all kernel directions have "
+            "vanishing expectation; the normalization hyperplane is empty"
+        ]
 
 
 @pytest.fixture(scope="module")
@@ -371,7 +448,7 @@ class TestParser:
             ["learn", "--table", "t.tsv", "--truth", "h.txt", "--k-local", "2", "--out",
              "r.txt", "--epsilon-w", "1e-6"]
         )
-        assert args.table == "t.tsv" and args.epsilon_w_override == 1e-6
+        assert args.table == "t.tsv" and args.epsilon_w == 1e-6
         args = parser.parse_args(
             ["sweep", "--n", "3", "--sigma-grid", "1e-5", "--runs-per-point", "2",
              "--workers", "2", "--out-dir", "/tmp/x"]
@@ -392,6 +469,7 @@ class TestParser:
             ["learn", "--table", "t.tsv", "--project-delta"],
             ["learn", "--table", "t.tsv", "--dump-spectra", "x"],
             ["gen", "--out", "t", "--include-identity"],
+            ["gen", "--out", "t", "--xxz-anisotropy-axis", "z"],
         ],
     )
     def test_unread_flag_rejected(self, argv, capsys):
@@ -412,3 +490,24 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "key", [f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "custom_terms"]
+    )
+    def test_flag_and_config_key_agree(self, tmp_path, monkeypatch, key):
+        # the parsed values alone: "custom" without [terms] would not validate
+        monkeypatch.setattr(ExperimentConfig, "validate", lambda self: None)
+        value = KEY_VALUES[key]
+        path = tmp_path / "exp.ini"
+        path.write_text(f"[experiment]\n{key} = {value}\n")
+        flag = "--" + key.replace("_", "-")
+        args = build_parser().parse_args(["sweep", flag, value, "--out-dir", "x"])
+        assert _config_from_args(args) == load_config(path) != ExperimentConfig()
+
+    def test_subcommands_take_the_readme_flags(self):
+        table = re.findall(r"^\| `(\w+)` \| `([^`]*)` \|$", README.read_text(), re.MULTILINE)
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert sorted(name for name, _ in table) == sorted(sub.choices)
+        for name, flags in table:
+            taken = {s for a in sub.choices[name]._actions for s in a.option_strings}
+            assert taken - {"-h", "--help"} == set(flags.split()), name

@@ -20,6 +20,7 @@ from gibbslearn.models import (
     xxz_chain,
 )
 from gibbslearn.pauli import PauliOperator, all_strings, enumerate_geometric_k_local
+from gibbslearn.sdp import SdpOptions
 from gibbslearn.states import add_noise, build_table, gibbs_density
 
 
@@ -87,7 +88,7 @@ class TestReconstructSmall:
         h_terms = string_basis_operators(b[:4])
         asm = MomentAssembler(b, h_terms)
         table = build_table(rho, asm.required_strings())
-        opts = ReconstructOptions(fixed_temperature_fallback=1.0)
+        opts = ReconstructOptions(sdp=SdpOptions(fixed_temperature=1.0))
         result = reconstruct(table, asm, opts)
         # every probed term is a symmetry of the tracial state, so the whole
         # candidate space survives, and the zero Hamiltonian fits with margin 0
