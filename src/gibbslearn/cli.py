@@ -102,6 +102,8 @@ class ExperimentConfig:
             if _READERS[hint] in (float, _float_list) and value is not None:
                 if not np.isfinite(value).all():
                     raise ConfigError(f"[experiment] {key} = {value!r}: must be finite")
+        if self.epsilon_w is not None and self.epsilon_w <= 0:
+            raise ConfigError(f"[experiment] epsilon_w = {self.epsilon_w!r}: must be positive")
         if not all(math.isfinite(coeff) for coeff, _ in self.custom_terms):
             raise ConfigError("[terms] coefficients must be finite")
         if self.n < 2:
@@ -262,6 +264,10 @@ def cmd_learn(args) -> int:
     if n_true != table.n:
         raise DimensionMismatch(f"truth file on {n_true} sites, table on {table.n}")
     k_local = ExperimentConfig.k_local if args.k_local is None else args.k_local
+    if not 1 <= k_local <= table.n:
+        raise ConfigError(f"--k-local {k_local}: outside [1, n] for a table on n = {table.n} sites")
+    if args.epsilon_w is not None and not 0 < args.epsilon_w < math.inf:
+        raise ConfigError(f"--epsilon-w {args.epsilon_w!r}: must be finite and positive")
     basis, h_terms = _string_basis(table.n, k_local)
     assembler = MomentAssembler(basis, h_terms)
     try:

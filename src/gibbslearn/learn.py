@@ -11,7 +11,7 @@ diagnostics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import List, Optional
 
@@ -20,9 +20,9 @@ import scipy.linalg
 
 from . import sdp as sdp_mod
 from .errors import SolverFailure
-from .moments import MomentAssembler
+from .moments import MomentAssembler, MomentSet
 from .pauli import PauliOperator
-from .sdp import SdpOptions, SdpProblem, SolverStatus
+from .sdp import SdpOptions, SdpProblem, SdpSolution, SolverStatus
 from .states import ExpectationTable
 
 class Verdict(str, Enum):
@@ -43,16 +43,20 @@ class ReconstructOptions:
 
 @dataclass
 class Diagnostics:
+    """The run's values; ``ReconstructionResult.save`` writes them in this order."""
+
     r: int
     s: int
     q: int
     epsilon_w: float
+    delta_min_eig: float
+    gram_min_eig: float
+    gram_max_eig: float
     gram_eigenvalues: np.ndarray
     w_spectrum: np.ndarray
-    delta_min_eig: float
     projected_dim: Optional[int] = None
     solver_status: Optional[str] = None
-    solver_iterations: Optional[int] = None
+    solver_iterations: int = 0
     residual_primal: Optional[float] = None
     residual_dual: Optional[float] = None
     residual_gap: Optional[float] = None
@@ -65,41 +69,33 @@ class ReconstructionResult:
     t_star: Optional[float]
     mu_star: Optional[float]
     diagnostics: Diagnostics
-    term_labels: Optional[List[str]] = None
+    terms: List[PauliOperator]  # the candidate terms y_star is written in
 
     def save(self, path):
-        d = self.diagnostics
+        """One ``key = value`` line per field, then one ``coeff.<term>`` line per term."""
+        lines = [("verdict", self.verdict.value), ("t_star", self.t_star)]
+        lines += [("mu_star", self.mu_star)]
+        lines += [(f.name, getattr(self.diagnostics, f.name)) for f in fields(Diagnostics)]
+        if self.y_star is not None:
+            lines += [(f"coeff.{_term_label(op)}", v) for op, v in zip(self.terms, self.y_star)]
         with open(path, "w") as handle:
-            handle.write(f"verdict = {self.verdict.value}\n")
-            handle.write(f"t_star = {'' if self.t_star is None else repr(self.t_star)}\n")
-            handle.write(f"mu_star = {'' if self.mu_star is None else repr(self.mu_star)}\n")
-            handle.write(f"r = {d.r}\n")
-            handle.write(f"s = {d.s}\n")
-            handle.write(f"q = {d.q}\n")
-            handle.write(f"epsilon_w = {d.epsilon_w!r}\n")
-            handle.write(f"delta_min_eig = {d.delta_min_eig!r}\n")
-            handle.write(f"gram_min_eig = {float(d.gram_eigenvalues.min())!r}\n")
-            handle.write(f"gram_max_eig = {float(d.gram_eigenvalues.max())!r}\n")
-            for name in ("gram_eigenvalues", "w_spectrum"):
-                values = " ".join(repr(float(v)) for v in getattr(d, name))
-                handle.write(f"{name} = {values}\n")
-            handle.write(f"projected_dim = {'' if d.projected_dim is None else d.projected_dim}\n")
-            handle.write(f"solver_status = {d.solver_status or ''}\n")
-            handle.write(f"solver_iterations = {d.solver_iterations or 0}\n")
-            for name in ("residual_primal", "residual_dual", "residual_gap"):
-                value = getattr(d, name)
-                handle.write(f"{name} = {'' if value is None else repr(value)}\n")
-            if self.y_star is not None:
-                labels = self.term_labels or [str(i) for i in range(len(self.y_star))]
-                for label, value in zip(labels, self.y_star):
-                    handle.write(f"coeff.{label} = {float(value)!r}\n")
+            handle.writelines(f"{key} = {_record_value(value)}\n" for key, value in lines)
+
+
+def _record_value(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(float(value))
+    if isinstance(value, np.ndarray):
+        return " ".join(repr(float(v)) for v in value)
+    return str(value)
 
 
 @dataclass
 class RecoveryReport:
     theta: float
     temperature_ratio: float
-    scale_factor: float
 
 
 def reconstruct(
@@ -124,59 +120,70 @@ def reconstruct(
     ortho, moments = assembler.moment_set(
         table, gram_floor=opts.gram_floor, epsilon_w_value=opts.epsilon_w
     )
-
     diag = Diagnostics(
         r=ortho.size,
         s=len(assembler.h_terms),
         q=moments.q,
         epsilon_w=moments.epsilon_w,
+        delta_min_eig=float(scipy.linalg.eigvalsh(moments.delta).min()),
+        gram_min_eig=float(ortho.gram_eigenvalues.min()),
+        gram_max_eig=float(ortho.gram_eigenvalues.max()),
         gram_eigenvalues=ortho.gram_eigenvalues,
         w_spectrum=moments.w_spectrum,
-        delta_min_eig=float(scipy.linalg.eigvalsh(moments.delta).min()),
     )
-    labels = [_term_label(op) for op in assembler.h_terms]
-
+    terms = assembler.h_terms
     if moments.q == 0:
-        return ReconstructionResult(Verdict.NOT_STATIONARY, None, None, None, diag, labels)
+        return ReconstructionResult(Verdict.NOT_STATIONARY, None, None, None, diag, terms)
 
-    l0, basis = sdp_mod.log_psd(
-        moments.delta, eig_floor=opts.delta_floor, project=opts.project_delta
-    )
-    h_tilde = moments.h_tilde_mats
-    if basis is not None:
-        h_tilde = np.einsum(
-            "ki,qkl,lj->qij", basis.conj(), h_tilde, basis, optimize=True
-        )
-        diag.projected_dim = l0.shape[0]
-
-    problem = SdpProblem(l0, h_tilde, moments.h_tilde_expectations, opts.sdp)
+    problem = stability_problem(moments, opts)
+    if problem.r < diag.r:
+        diag.projected_dim = problem.r
     solution = sdp_mod.solve(problem)
     diag.solver_status = solution.status.value
     diag.solver_iterations = solution.iterations
     diag.residual_primal = solution.kkt_residuals.primal
     diag.residual_dual = solution.kkt_residuals.dual
     diag.residual_gap = solution.kkt_residuals.gap
+    return ReconstructionResult(
+        verdict=verdict(solution, problem.l0, opts),
+        y_star=moments.kernel_coeffs.T @ solution.y_star,
+        t_star=solution.t_star,
+        mu_star=solution.mu_star,
+        diagnostics=diag,
+        terms=terms,
+    )
 
+
+def stability_problem(moments: MomentSet, opts: ReconstructOptions) -> SdpProblem:
+    """The stability program on the kernel directions, with L0 = log(Delta).
+
+    With ``opts.project_delta`` a modular matrix below ``opts.delta_floor``
+    restricts the program to its eigenvectors above the floor.
+    """
+    l0, basis = sdp_mod.log_psd(
+        moments.delta, eig_floor=opts.delta_floor, project=opts.project_delta
+    )
+    h_tilde = moments.h_tilde_mats
+    if basis is not None:
+        h_tilde = np.einsum("ki,qkl,lj->qij", basis.conj(), h_tilde, basis, optimize=True)
+    return SdpProblem(l0, h_tilde, moments.h_tilde_expectations, opts.sdp)
+
+
+def verdict(solution: SdpSolution, l0: np.ndarray, opts: ReconstructOptions) -> Verdict:
+    """NotGibbs when the margin is below -certificate_tol_rel * max(1, |L0|).
+
+    A solution the solver did not certify optimal raises ``SolverFailure``.
+    """
     if solution.status is SolverStatus.NUMERICAL_TROUBLE:
         raise SolverFailure(
-            f"optimizer did not certify an optimum: {solution.diagnostics.get('note', '')} "
+            f"optimizer did not certify an optimum: {solution.note} "
             f"(residuals {solution.kkt_residuals})"
         )
     if solution.status is SolverStatus.INFEASIBLE:
         raise SolverFailure("stability program reported as unbounded/infeasible")
-
-    y_orig = moments.kernel_coeffs.T @ solution.y_star
     l0_norm = float(np.abs(scipy.linalg.eigvalsh(l0)).max()) if l0.size else 0.0
     certificate_tol = opts.certificate_tol_rel * max(1.0, l0_norm)
-    verdict = Verdict.NOT_GIBBS if solution.mu_star < -certificate_tol else Verdict.CANDIDATE
-    return ReconstructionResult(
-        verdict=verdict,
-        y_star=y_orig,
-        t_star=solution.t_star,
-        mu_star=solution.mu_star,
-        diagnostics=diag,
-        term_labels=labels,
-    )
+    return Verdict.NOT_GIBBS if solution.mu_star < -certificate_tol else Verdict.CANDIDATE
 
 
 def _term_label(op: PauliOperator) -> str:
@@ -234,5 +241,5 @@ def evaluate_recovery(
     if result.y_star is None or result.t_star is None:
         raise ValueError(f"no candidate to evaluate (verdict {result.verdict.value})")
     theta = recovery_angle(result.y_star, z_true)
-    ratio, c = temperature_ratio(result.y_star, result.t_star, z_true, t_true)
-    return RecoveryReport(theta=theta, temperature_ratio=ratio, scale_factor=c)
+    ratio, _ = temperature_ratio(result.y_star, result.t_star, z_true, t_true)
+    return RecoveryReport(theta=theta, temperature_ratio=ratio)

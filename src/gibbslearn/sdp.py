@@ -69,9 +69,6 @@ class KktResiduals:
     dual: float
     gap: float
 
-    def worst(self) -> float:
-        return max(self.primal, self.dual, self.gap)
-
 
 @dataclass
 class SdpProblem:
@@ -115,7 +112,7 @@ class SdpSolution:
     dual_certificate: Optional[np.ndarray]
     kkt_residuals: KktResiduals
     iterations: int
-    diagnostics: dict
+    note: str  # why the iteration stopped early, or empty
 
 
 def log_psd(
@@ -335,8 +332,8 @@ def solve(problem: SdpProblem) -> SdpSolution:
     """Solve the stability program with certificates.
 
     The temperature enters as one more scalar variable bounded below by a
-    scalar cone; a vanishing optimal temperature is legal output and is
-    flagged in the diagnostics as physically degenerate.
+    scalar cone; a vanishing optimal temperature is legal output, though
+    physically degenerate.
     """
     opts = problem.options
     r = problem.r
@@ -417,14 +414,6 @@ def solve(problem: SdpProblem) -> SdpSolution:
     else:
         status = SolverStatus.NUMERICAL_TROUBLE
 
-    diagnostics = {
-        "note": note,
-        "lambda_min_check": lam_min,
-        "lambda_min_gap": lambda_gap,
-        "t_at_boundary": t_star <= 1e-7,
-        "scale": scale,
-        "pivot": None if fixed_t is not None else pivot,
-    }
     return SdpSolution(
         y_star=y,
         t_star=t_star,
@@ -433,7 +422,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
         dual_certificate=certificate,
         kkt_residuals=residuals,
         iterations=iterations,
-        diagnostics=diagnostics,
+        note=note,
     )
 
 
@@ -445,7 +434,6 @@ class ResidualReport:
     lmi_min_eig: float
     normalization_residual: float
     temperature_nonneg: float
-    lambda_min_minus_mu: float
     certificate_min_eig: float
     certificate_trace: float
     certificate_orthogonality: float
@@ -516,9 +504,6 @@ def check_solution(problem: SdpProblem, solution: SdpSolution) -> ResidualReport
         lmi_min_eig=lmi_min,
         normalization_residual=norm_res,
         temperature_nonneg=t,
-        lambda_min_minus_mu=float(
-            scipy.linalg.eigvalsh(0.5 * (combo + combo.conj().T)).min() - mu
-        ),
         certificate_min_eig=cert_min,
         certificate_trace=cert_trace,
         certificate_orthogonality=ortho,

@@ -18,9 +18,15 @@ from gibbslearn.cli import (
     write_sweep_csv,
 )
 from gibbslearn.errors import ConfigError
-from gibbslearn.models import string_basis_operators
+from gibbslearn.models import string_basis_operators, xxz_chain
 from gibbslearn.pauli import PauliString, canonical_order, enumerate_geometric_k_local
-from gibbslearn.states import ExpectationTable, required_strings
+from gibbslearn.states import (
+    DensityMatrix,
+    ExpectationTable,
+    build_table,
+    gibbs_density,
+    required_strings,
+)
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -121,8 +127,13 @@ class TestConfig:
         [
             ("n = 2\n", "-1.0 X0", "[terms] given without model = custom"),
             ("n = 2\nmodel = custom\n", "nan X0", "[terms] coefficients must be finite"),
+            (
+                "n = 2\nmodel = custom\n",
+                "strong X0",
+                "[terms] t1 = 'strong X0': expected '<coeff> <paulis>'",
+            ),
         ],
-        ids=["no-custom-model", "nan-coefficient"],
+        ids=["no-custom-model", "nan-coefficient", "malformed-line"],
     )
     def test_bad_terms_are_config_error(self, tmp_path, capsys, experiment, term, message):
         path = tmp_path / "exp.ini"
@@ -144,6 +155,15 @@ class TestConfig:
             # validation raises before a pool starts
             ["sweep", "--workers", "0"],
             ["sweep", "--workers", "-1"],
+            ["gen", "--model", "custom"],
+            ["gen", "--n", "3", "--k-local", "0"],
+            ["gen", "--n", "3", "--k-local", "4"],
+            ["gen", "--temperatures", "0"],
+            ["gen", "--temperatures", "1,-2"],
+            ["sweep", "--sigma-grid", ""],
+            ["sweep", "--runs-per-point", "0"],
+            ["sweep", "--epsilon-w", "-1"],
+            ["sweep", "--epsilon-w", "0"],
         ],
     )
     def test_bad_flag_value_is_config_error(self, tmp_path, capsys, argv):
@@ -152,6 +172,13 @@ class TestConfig:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ")
         assert not out.exists()
+
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "missing.ini"
+        assert main(["gen", "--config", str(path), "--out", str(tmp_path / "x")]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: cannot read config file {path}"
+        ]
 
     def test_gen_takes_k_local_from_config(self, tmp_path):
         path = tmp_path / "exp.ini"
@@ -301,6 +328,46 @@ class TestGenLearn:
         table.save(path)
         rc = main(["learn", "--table", str(path), "--k-local", "1"])
         assert rc in (2, 3)  # terminates without a candidate
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--k-local", "0"], "--k-local 0: outside [1, n] for a table on n = 4 sites"),
+            (["--k-local", "5"], "--k-local 5: outside [1, n] for a table on n = 4 sites"),
+            (["--epsilon-w", "nan"], "--epsilon-w nan: must be finite and positive"),
+            (["--epsilon-w", "inf"], "--epsilon-w inf: must be finite and positive"),
+            (["--epsilon-w", "-1"], "--epsilon-w -1.0: must be finite and positive"),
+            (["--epsilon-w", "0"], "--epsilon-w 0.0: must be finite and positive"),
+        ],
+        ids=["k-local-0", "k-local-above-n", "eps-nan", "eps-inf", "eps-negative", "eps-zero"],
+    )
+    def test_learn_refuses_basis_settings(self, tables_n4_n5, tmp_path, capsys, argv, message):
+        # epsilon_w <= 0 keeps no direction: the kernel test is a strict
+        # < on a spectrum clipped at 0
+        out = tmp_path / "result.txt"
+        table = str(tables_n4_n5 / "n4" / "table_T1p0.tsv")
+        assert main(["learn", "--table", table, "--out", str(out), *argv]) == 4
+        assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+        assert not out.exists()
+
+    def test_learn_not_gibbs_exit_code(self, tmp_path, capsys):
+        # an equal mixture of two temperatures is thermal for no Hamiltonian
+        # in the 2-local span, and the program certifies it
+        n = 4
+        h = xxz_chain(n, 0.5)
+        mixed = 0.5 * (gibbs_density(h, 1.0).matrix + gibbs_density(h, 10.0).matrix)
+        basis = enumerate_geometric_k_local(n, 2)
+        table = build_table(
+            DensityMatrix.from_matrix(n, mixed),
+            required_strings(basis, string_basis_operators(basis)),
+        )
+        table.save(tmp_path / "table.tsv")
+        out = tmp_path / "result.txt"
+        assert main(["learn", "--table", str(tmp_path / "table.tsv"), "--out", str(out)]) == 3
+        assert "verdict: NotGibbs" in capsys.readouterr().out
+        record = dict(line.split(" = ", 1) for line in out.read_text().splitlines())
+        assert record["verdict"] == "NotGibbs"
+        assert float(record["mu_star"]) == pytest.approx(-0.352, abs=1e-3)
 
     def test_learn_normalization_degenerate(self, tmp_path, capsys):
         # on 1-local terms the kernel is the total magnetization of the XXZ

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gibbslearn.errors import DeltaNotPositive, NormalizationDegenerate
+from gibbslearn.errors import DeltaNotPositive, NormalizationDegenerate, SolverFailure
 from gibbslearn.learn import (
     ReconstructOptions,
     Verdict,
@@ -11,6 +11,7 @@ from gibbslearn.learn import (
     reconstruct,
     recovery_angle,
     temperature_ratio,
+    verdict,
 )
 from gibbslearn.moments import MomentAssembler
 from gibbslearn.models import (
@@ -20,7 +21,7 @@ from gibbslearn.models import (
     xxz_chain,
 )
 from gibbslearn.pauli import PauliOperator, all_strings, enumerate_geometric_k_local
-from gibbslearn.sdp import SdpOptions
+from gibbslearn.sdp import SdpOptions, SdpProblem, SolverStatus, solve
 from gibbslearn.states import add_noise, build_table, gibbs_density
 
 
@@ -217,7 +218,64 @@ class TestCentralPath:
         assert result.t_star == pytest.approx(0.203138265318453, rel=1e-8)
 
 
+class TestVerdict:
+    def test_unbounded_program_is_solver_failure(self):
+        # T L0 + y A - mu I with L0 = diag(1, 2), A = diag(-1/2, 1/2) and
+        # y = 1 fixed by the normalization: the margin grows without bound in T
+        problem = SdpProblem(np.diag([1.0, 2.0]), [np.diag([-0.5, 0.5])], [-1.0])
+        solution = solve(problem)
+        assert solution.status is SolverStatus.INFEASIBLE
+        assert solution.note == "objective diverging; program appears unbounded"
+        with pytest.raises(SolverFailure, match="unbounded"):
+            verdict(solution, problem.l0, ReconstructOptions())
+
+
+RECORD_HEAD = [
+    "verdict", "t_star", "mu_star", "r", "s", "q", "epsilon_w", "delta_min_eig",
+    "gram_min_eig", "gram_max_eig", "gram_eigenvalues", "w_spectrum", "projected_dim",
+    "solver_status", "solver_iterations", "residual_primal", "residual_dual", "residual_gap",
+]
+
+
+def record_lines(result, tmp_path):
+    path = tmp_path / "result.txt"
+    result.save(path)
+    return [line.partition(" = ") for line in path.read_text().splitlines()]
+
+
 class TestResultSerialization:
+    def test_not_stationary_keys(self, tmp_path):
+        h = PauliOperator.from_terms(1, [(-1.0, "Z0")])
+        b = all_strings(1, include_identity=False)
+        asm = MomentAssembler(b, [PauliOperator.from_terms(1, [(1.0, "X0")])])
+        result = reconstruct(build_table(gibbs_density(h, 1.0), asm.required_strings()), asm)
+        lines = dict((key, value) for key, _, value in record_lines(result, tmp_path))
+        assert list(lines) == RECORD_HEAD
+        assert lines["verdict"] == "NotStationary" and lines["q"] == "0"
+        for key in ("t_star", "mu_star", "projected_dim", "solver_status", "residual_gap"):
+            assert lines[key] == "", key
+        assert lines["solver_iterations"] == "0"
+
+    def test_operator_terms(self, tmp_path):
+        # the XXZ bond operators as candidate terms: each coefficient line is
+        # labelled with its operator's text
+        n = 4
+        bonds = [
+            PauliOperator.from_terms(
+                n, [(-1.0, f"X{i} X{i+1}"), (-1.0, f"Y{i} Y{i+1}"), (-0.5, f"Z{i} Z{i+1}")]
+            )
+            for i in range(n - 1)
+        ]
+        asm = MomentAssembler(enumerate_geometric_k_local(n, 2), bonds)
+        rho = gibbs_density(xxz_chain(n, 0.5), 1.0)
+        result = reconstruct(build_table(rho, asm.required_strings()), asm)
+        assert result.verdict is Verdict.CANDIDATE
+        lines = record_lines(result, tmp_path)
+        assert [key for key, _, _ in lines[len(RECORD_HEAD):]] == [
+            f"coeff.-1.0 X{i} X{i+1}; -1.0 Y{i} Y{i+1}; -0.5 Z{i} Z{i+1}" for i in range(n - 1)
+        ]
+        assert [float(value) for _, _, value in lines[len(RECORD_HEAD):]] == result.y_star.tolist()
+
     def test_save_fields(self, tmp_path):
         h = PauliOperator.from_terms(1, [(-1.0, "Z0")])
         rho = gibbs_density(h, 1.0)
@@ -229,6 +287,8 @@ class TestResultSerialization:
         path = tmp_path / "result.txt"
         result.save(path)
         text = path.read_text()
+        keys = RECORD_HEAD + ["coeff." + s.to_text() for s in b]
+        assert [line.partition(" = ")[0] for line in text.splitlines()] == keys
         for key in (
             "verdict = Candidate",
             "t_star = ",
