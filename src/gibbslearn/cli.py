@@ -435,10 +435,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.n > gns.GNS_SITE_LIMIT:
-        print(
-            f"verification battery limited to n <= {gns.GNS_SITE_LIMIT}", file=sys.stderr
-        )
+    try:
+        gns.check_battery_size(args.n, args.instances)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 2
     results = gns.run_battery(n_max=args.n, seed=args.seed, instances=args.instances)
     failed = 0

@@ -22,6 +22,7 @@ import scipy.linalg
 
 from . import pauli
 from .errors import DenseLimitExceeded
+from .models import random_k_local_hamiltonian
 from .pauli import PauliOperator, PauliString
 from .states import DensityMatrix
 
@@ -410,23 +411,10 @@ class CheckResult:
         )
 
 
-def _random_selfadjoint(
-    n: int, rng, k_local: int | None = None, coeff_norm: float = 0.75
-) -> PauliOperator:
-    strings = (
-        pauli.all_strings(n, include_identity=False)
-        if k_local is None
-        else pauli.enumerate_geometric_k_local(n, min(k_local, n))
-    )
-    coeffs = rng.normal(0.0, 1.0, size=len(strings))
-    coeffs *= coeff_norm / np.linalg.norm(coeffs)
-    return PauliOperator(n, dict(zip(strings, coeffs)))
-
-
 def _random_faithful_state(n: int, rng) -> DensityMatrix:
     from .states import gibbs_density
 
-    h = _random_selfadjoint(n, rng)
+    h = random_k_local_hamiltonian(n, n, rng, coeff_norm=0.75)[0]
     temperature = float(rng.uniform(0.5, 4.0))
     return gibbs_density(h, temperature)
 
@@ -457,6 +445,16 @@ def _random_lindblad_spec(n: int, rng, r: int = 3) -> LindbladSpec:
     return LindbladSpec(b_ops, coupling, dissipation)
 
 
+def check_battery_size(n_max: int, instances: int):
+    """Refuse a battery on sites outside [1, GNS_SITE_LIMIT] or of no instances."""
+    if not 1 <= n_max <= GNS_SITE_LIMIT:
+        raise ValueError(
+            f"verification battery limited to 1 <= n <= {GNS_SITE_LIMIT}, not n={n_max}"
+        )
+    if instances < 1:
+        raise ValueError(f"verification battery needs at least one instance, not {instances}")
+
+
 def run_battery(n_max: int = 3, seed: int = 0, instances: int = 100) -> List[CheckResult]:
     """Randomized verification of every GNS, Lindblad and stability identity.
 
@@ -464,8 +462,7 @@ def run_battery(n_max: int = 3, seed: int = 0, instances: int = 100) -> List[Che
     worst over all instances of a check.  Dynamics checks (superoperator
     exponentials) are kept to n <= 3 regardless of n_max.
     """
-    if n_max > GNS_SITE_LIMIT:
-        raise ValueError(f"battery limited to n <= {GNS_SITE_LIMIT}")
+    check_battery_size(n_max, instances)
     rng = np.random.default_rng(seed)
     worst: dict = {}
 
@@ -480,8 +477,8 @@ def run_battery(n_max: int = 3, seed: int = 0, instances: int = 100) -> List[Che
         space = build_gns(rho)
         scale_d = max(1.0, float(np.abs(space.delta).max()))
 
-        a_op = _random_selfadjoint(n, rng)
-        b_op = _random_selfadjoint(n, rng)
+        a_op = random_k_local_hamiltonian(n, n, rng, coeff_norm=0.75)[0]
+        b_op = random_k_local_hamiltonian(n, n, rng, coeff_norm=0.75)[0]
         a_mat = pauli.dense_matrix(a_op)
         b_mat = pauli.dense_matrix(b_op)
 
@@ -540,7 +537,7 @@ def run_battery(n_max: int = 3, seed: int = 0, instances: int = 100) -> List[Che
 
         # Lindblad rates: GNS matrix elements vs direct and finite differences
         spec = _random_lindblad_spec(n, rng)
-        h_obs = _random_selfadjoint(n, rng)
+        h_obs = random_k_local_hamiltonian(n, n, rng, coeff_norm=0.75)[0]
         h_obs_mat = pauli.dense_matrix(h_obs)
 
         vecs = np.column_stack([space.vector(bo) for bo in spec.b_ops])
@@ -612,7 +609,7 @@ def run_battery(n_max: int = 3, seed: int = 0, instances: int = 100) -> List[Che
         # stability of a Gibbs pair, instability across a temperature mismatch
         from .states import gibbs_density
 
-        h_true = _random_selfadjoint(n, rng)
+        h_true = random_k_local_hamiltonian(n, n, rng, coeff_norm=0.75)[0]
         t_true = float(rng.uniform(0.5, 2.5))
         rho_g = gibbs_density(h_true, t_true)
         space_g = build_gns(rho_g)

@@ -9,7 +9,10 @@ requires them.
 Pauli products are structural: phases and base strings do not depend on the
 data.  The assembler therefore precomputes integer index maps once per
 (b, h_terms) pair, after which any number of (noisy) tables can be processed
-with plain array gathers.
+with plain array gathers.  It holds only the products its moments read: the
+pairs b_l b_k, the term strings t_u, and the triples b_l t_u b_k over every l
+for the pairs (u, k) where t_u anticommutes with b_k.  A table needs no other
+string, and a missing one raises IncompleteData naming it.
 
 Every phase follows one rule (Aaronson and Gottesman 2004).  With
 y(p) = np.bitwise_count(x & z), the number of Y letters of p, a product of strings
@@ -18,10 +21,10 @@ z_1 ^ ... ^ z_m), where
 
     g = sum_j y(p_j) - y(product) + 2 sum_{i<j} np.bitwise_count(z_i & x_j)   (mod 4).
 
-The product's masks are those of its entry in the closure, so its y is a
-gather.  A commutator needs only the one bracketing b_l t_u b_k: when t_u
-commutes with b_k the weight of b_l [t_u, b_k] is zero, and when they
-anticommute b_l b_k t_u = -b_l t_u b_k, so the weight is 2 i^g.
+Each product's y is read off its own masks.  A commutator needs only the one
+bracketing b_l t_u b_k: when t_u commutes with b_k, b_l [t_u, b_k] is zero
+and the triple is never built, and when they anticommute
+b_l b_k t_u = -b_l t_u b_k, so the weight is 2 i^g.
 """
 
 from __future__ import annotations
@@ -34,16 +37,15 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatch, GramDegenerate
-from .pauli import PHASES, PauliOperator, PauliString, masks, product_closure
+from .pauli import PHASES, PauliOperator, PauliString, check_mask_limit, masks, unique_masks
 from .states import ExpectationTable
 
 DEFAULT_GRAM_FLOOR_REL = 1e-10
 EPSILON_W_FLOOR = 1e-11
 
 _PHASE_TABLE = np.array(PHASES)
-# commutator weight i^g - i^(g+2) = 2 i^g of an anticommuting pair; index 4
-# holds the zero weight of a commuting pair
-_COMMUTATOR_TABLE = np.append(_PHASE_TABLE - np.roll(_PHASE_TABLE, 2), 0)
+# commutator weight i^g - i^(g+2) = 2 i^g of an anticommuting pair
+_COMMUTATOR_TABLE = _PHASE_TABLE - np.roll(_PHASE_TABLE, 2)
 
 
 @dataclass
@@ -89,6 +91,7 @@ class MomentAssembler:
         if not b:
             raise ValueError("need at least one perturbing operator")
         self.n = b[0].n
+        check_mask_limit(self.n, "moment assembler")
         self.b = list(b)
         self.h_terms = list(h_terms)
         for op in self.h_terms:
@@ -105,39 +108,39 @@ class MomentAssembler:
         self._alpha = np.array(alpha, dtype=np.int64)
         self._ct = np.array(ct, dtype=float)
 
-        closure = product_closure(self.b, strings)
-        self._x, self._z = closure.x, closure.z
-        self._pair_idx = closure.pair_idx
-        self._triple_idx = closure.triple_idx  # (u, l, k)
-        self._term_idx = closure.term_idx
+        # the anticommuting pairs (t_u, b_k) in u-major order, and the products
+        # read: every b_l b_k, b_l t_u b_k over every l for those pairs, and t_u
+        xb, zb = masks(self.b)
+        xt, zt = masks(strings)
+        zx_bb = np.bitwise_count(zb[:, None] & xb[None, :])  # (l, k)
+        zx_tb = np.bitwise_count(zt[:, None] & xb[None, :])  # (u, k)
+        anti = (zx_tb + np.bitwise_count(xt[:, None] & zb[None, :])) % 2 == 1  # (u, k)
+        u, k = np.nonzero(anti)
+        x_pair, z_pair = xb[:, None] ^ xb[None, :], zb[:, None] ^ zb[None, :]
+        x_triple, z_triple = x_pair[:, k].T ^ xt[u, None], z_pair[:, k].T ^ zt[u, None]  # (p, l)
+        self._x, self._z, inverse = unique_masks(
+            np.concatenate([x_pair.ravel(), x_triple.ravel(), xt]),
+            np.concatenate([z_pair.ravel(), z_triple.ravel(), zt]),
+        )
+        r, pairs, triples = len(self.b), x_pair.size, x_triple.size
+        self._pair_idx = inverse[:pairs].reshape(r, r)
+        self._triple_idx = inverse[pairs : pairs + triples].reshape(x_triple.shape)
+        self._term_idx = inverse[pairs + triples :]
 
         # phases of every b_l b_k and b_l t_u b_k (module docstring), in uint8:
         # sums wrap modulo 256, a multiple of 4, so every exponent stays exact
-        xb, zb = masks(self.b)
-        xt, zt = masks(strings)
-        r = len(self.b)
         y_b, y_t = np.bitwise_count(xb & zb), np.bitwise_count(xt & zt)
-        y_closure = np.bitwise_count(self._x & self._z)
-        zx_bb = np.bitwise_count(zb[:, None] & xb[None, :])  # (l, k)
-        zx_bt = np.bitwise_count(zb[None, :] & xt[:, None])  # (u, l)
-        zx_tb = np.bitwise_count(zt[:, None] & xb[None, :])  # (u, k)
-        g_pair = (y_b[:, None] + y_b[None, :] - y_closure[self._pair_idx] + 2 * zx_bb) % 4
+        g_pair = (y_b[:, None] + y_b[None, :] - np.bitwise_count(x_pair & z_pair) + 2 * zx_bb) % 4
         g_triple = (
-            y_b[None, :, None]
-            + y_t[:, None, None]
-            + y_b[None, None, :]
-            - y_closure[self._triple_idx]
-            + 2 * (zx_bt[:, :, None] + zx_bb[None, :, :] + zx_tb[:, None, :])
+            y_b[None, :]
+            + (y_t[u] + y_b[k])[:, None]
+            - np.bitwise_count(x_triple & z_triple)
+            + 2 * (np.bitwise_count(zb[None, :] & xt[u, None]) + zx_bb[:, k].T + zx_tb[u, k, None])
         ) % 4
-        anti = (zx_tb + np.bitwise_count(xt[:, None] & zb[None, :])) % 2 == 1  # (u, k)
-
         self._pair_phase = _PHASE_TABLE[g_pair]
-        # F[alpha, l, k] sums c_u omega(b_l [t_u, b_k]) over the strings u of h_alpha
-        self._comm_weight = _COMMUTATOR_TABLE[np.where(anti[:, None, :], g_triple, 4)]
-        self._comm_weight *= self._ct[:, None, None]
-        self._single_term_per_alpha = np.array_equal(
-            self._alpha, np.arange(len(self.h_terms))
-        )
+        # c_u omega(b_l [t_u, b_k]) = c_u 2 i^g omega(b_l t_u b_k) on the pair (u, k)
+        self._comm_weight = _COMMUTATOR_TABLE[g_triple] * self._ct[u, None]
+        self._comm_scatter = (self._alpha[u], slice(None), k)  # F[alpha_u, :, k] for pair (u, k)
 
         # structural count of nonzero commutator triples for the W threshold:
         # every (i, alpha, j) with [h_alpha, b_j] structurally nonzero
@@ -146,9 +149,6 @@ class MomentAssembler:
         self.commutator_term_count = int(r * pair_nonzero.sum())
 
     # -- data-dependent assembly ------------------------------------------
-
-    def required_strings(self) -> Tuple[np.ndarray, np.ndarray]:
-        return self._x, self._z
 
     def _values(self, table: ExpectationTable) -> np.ndarray:
         if table.n != self.n:
@@ -166,7 +166,7 @@ class MomentAssembler:
         """F[alpha, l, k] = omega(b_l^* [h_alpha, b_k])."""
         return self._commutator_tensor(self._values(table))
 
-    # the same three, from values already gathered in closure order
+    # the same three, from values already gathered in the order of the read strings
 
     def _gram(self, v: np.ndarray) -> np.ndarray:
         raw = self._pair_phase * v[self._pair_idx]
@@ -178,11 +178,9 @@ class MomentAssembler:
         return out
 
     def _commutator_tensor(self, v: np.ndarray) -> np.ndarray:
-        contrib = self._comm_weight * v[self._triple_idx]
-        if self._single_term_per_alpha:
-            return contrib
+        # F[alpha, l, k] sums c_u omega(b_l [t_u, b_k]) over the strings u of h_alpha, in u order
         out = np.zeros((len(self.h_terms), len(self.b), len(self.b)), dtype=complex)
-        np.add.at(out, self._alpha, contrib)
+        np.add.at(out, self._comm_scatter, self._comm_weight * v[self._triple_idx])
         return out
 
     def moment_set(

@@ -265,7 +265,7 @@ def enumerate_geometric_k_local(n: int, k: int) -> List[PauliString]:
     return out
 
 
-# --- mask arrays and the required-string closure --------------------------
+# --- mask arrays ----------------------------------------------------------
 
 MASK_SITE_LIMIT = 64  # masks are held as uint64 words
 
@@ -362,51 +362,6 @@ def canonical_order(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     zs = (z >> first)[:, None] >> sites & np.uint64(1)
     ranks = np.argsort(_RANKED_CODES).astype(np.uint8)[xs | zs << np.uint64(1)]
     return np.lexsort((*ranks.T[::-1], width, first, non_identity))
-
-
-@dataclass(frozen=True)
-class StringClosure:
-    """The distinct strings of a product closure and where each product lands.
-
-    ``x`` and ``z`` hold the distinct strings' uint64 masks, sorted by (x, z).
-    Every product is an index into them: ``pair_idx[l, k]`` for b_l b_k,
-    ``triple_idx[u, l, k]`` for b_l t_u b_k and ``term_idx[u]`` for t_u.
-    """
-
-    x: np.ndarray
-    z: np.ndarray
-    pair_idx: np.ndarray
-    triple_idx: np.ndarray
-    term_idx: np.ndarray
-
-
-def product_closure(
-    b: Sequence[PauliString], terms: Sequence[PauliString]
-) -> StringClosure:
-    """Required-string closure: every b_l b_k, b_l t b_k and t for t in ``terms``.
-
-    The identity is always included (b_l b_l = I).  The sort key is the mask
-    pair itself, so distinct strings never share a key for any n the masks
-    can hold; above that the closure refuses to run.
-    """
-    check_mask_limit(b[0].n, "string closure")
-    xb, zb = masks(b)
-    xt, zt = masks(terms)
-    r, u = len(b), len(terms)
-    x_pair = xb[:, None] ^ xb[None, :]
-    z_pair = zb[:, None] ^ zb[None, :]
-    x, z, inverse = unique_masks(
-        np.concatenate([x_pair.ravel(), (xt[:, None, None] ^ x_pair).ravel(), xt]),
-        np.concatenate([z_pair.ravel(), (zt[:, None, None] ^ z_pair).ravel(), zt]),
-    )
-    pairs, triples = r * r, r * r * u
-    return StringClosure(
-        x=x,
-        z=z,
-        pair_idx=inverse[:pairs].reshape(r, r),
-        triple_idx=inverse[pairs : pairs + triples].reshape(u, r, r),
-        term_idx=inverse[pairs + triples :],
-    )
 
 
 # --- dense bridge ---------------------------------------------------------

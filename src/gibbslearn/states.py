@@ -115,12 +115,20 @@ def required_strings(
     products share base strings), triple products b_i t b_j with t running
     over the strings of each Hamiltonian term cover the commutator moments,
     and the strings of the terms themselves cover the normalization data.
-    They are the closure's distinct strings, in its (x, z) mask order.
+    They are the distinct strings, sorted by (x, z).  The moment assembler
+    reads only part of them: a triple whose t commutes with b_j has weight zero.
     """
     if not b_basis:
         return pauli.masks([])
-    closure = pauli.product_closure(b_basis, [t for op in h_terms for t in op.terms])
-    return closure.x, closure.z
+    pauli.check_mask_limit(b_basis[0].n, "string closure")
+    xb, zb = pauli.masks(b_basis)
+    xt, zt = pauli.masks([t for op in h_terms for t in op.terms])
+    x_pair, z_pair = xb[:, None] ^ xb[None, :], zb[:, None] ^ zb[None, :]
+    x, z, _ = pauli.unique_masks(
+        np.concatenate([x_pair.ravel(), (xt[:, None, None] ^ x_pair).ravel(), xt]),
+        np.concatenate([z_pair.ravel(), (zt[:, None, None] ^ z_pair).ravel(), zt]),
+    )
+    return x, z
 
 
 def write_tsv(path, header: Dict[str, object], rows: Iterable[Tuple[str, str]]):

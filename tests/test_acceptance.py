@@ -21,7 +21,7 @@ from gibbslearn.models import random_k_local_hamiltonian, string_basis_operators
 from gibbslearn.moments import MomentAssembler, epsilon_w
 from gibbslearn.pauli import all_strings, enumerate_geometric_k_local
 from gibbslearn.sdp import SdpProblem, check_solution, solve
-from gibbslearn.states import build_table, gibbs_density
+from gibbslearn.states import build_table, gibbs_density, required_strings
 
 from oracles import sdp_bisection_oracle
 
@@ -45,7 +45,7 @@ def test_criterion_1_full_span_recovery():
             h, z, _ = random_k_local_hamiltonian(n, 2, rng, coeff_norm=1.0, strings=terms)
             for temperature in (0.5, 1.0, 2.0):
                 rho = gibbs_density(h, temperature)
-                table = build_table(rho, asm.required_strings())
+                table = build_table(rho, required_strings(b, h_terms))
                 result = reconstruct(table, asm)
                 assert result.verdict is Verdict.CANDIDATE
                 report = evaluate_recovery(result, z, temperature)
@@ -80,7 +80,7 @@ def test_criterion_2_feasibility_restricted_span():
             h, z, _ = random_k_local_hamiltonian(n, 2, rng, coeff_norm=1.0, strings=b)
             temperature = temperatures[case % len(temperatures)]
             rho = gibbs_density(h, temperature)
-            table = build_table(rho, asm.required_strings())
+            table = build_table(rho, required_strings(b, h_terms))
             result = reconstruct(table, asm)
             assert result.mu_star is not None
             worst_mu = min(worst_mu, result.mu_star)

@@ -323,7 +323,7 @@ class TestGenLearn:
         b = all_strings(2, include_identity=False)
         h_terms = string_basis_operators(b[:1])
         asm = MomentAssembler(b, h_terms)
-        table = build_table(rho, asm.required_strings())
+        table = build_table(rho, required_strings(b, h_terms))
         path = tmp_path / "table.tsv"
         table.save(path)
         rc = main(["learn", "--table", str(path), "--k-local", "1"])
@@ -499,8 +499,18 @@ class TestVerifyCommand:
         assert "checks passed" in captured.out
 
     def test_site_limit(self, capsys):
-        rc = main(["verify", "--n", "5"])
-        assert rc == 2
+        # refused before any check runs: one stderr line, nothing on stdout
+        for argv, message in (
+            (["--n", "5"], "1 <= n <= 4, not n=5"),
+            (["--n", "0"], "1 <= n <= 4, not n=0"),
+            (["--n", "-1"], "1 <= n <= 4, not n=-1"),
+            (["--instances", "0"], "at least one instance, not 0"),
+        ):
+            rc = main(["verify", *argv])
+            captured = capsys.readouterr()
+            assert rc == 2, argv
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1 and message in captured.err
 
 
 class TestParser:

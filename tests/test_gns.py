@@ -269,6 +269,13 @@ class TestStabilityChecks:
 
 
 class TestBattery:
+    @pytest.mark.parametrize(
+        "n_max, instances", [(0, 1), (-1, 1), (GNS_SITE_LIMIT + 1, 1), (2, 0)]
+    )
+    def test_refuses_empty_or_oversized(self, n_max, instances):
+        with pytest.raises(ValueError, match="verification battery"):
+            run_battery(n_max=n_max, instances=instances)
+
     def test_small_battery_passes(self):
         results = run_battery(n_max=2, seed=3, instances=6)
         for check in results:

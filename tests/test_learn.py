@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from gibbslearn.errors import DeltaNotPositive, NormalizationDegenerate, SolverFailure
+from gibbslearn.errors import (
+    DeltaNotPositive,
+    IncompleteData,
+    NormalizationDegenerate,
+    SolverFailure,
+)
 from gibbslearn.learn import (
     ReconstructOptions,
     Verdict,
@@ -20,9 +25,21 @@ from gibbslearn.models import (
     string_basis_operators,
     xxz_chain,
 )
-from gibbslearn.pauli import PauliOperator, all_strings, enumerate_geometric_k_local
+from gibbslearn.pauli import (
+    PauliOperator,
+    all_strings,
+    enumerate_geometric_k_local,
+    masks,
+    multiply,
+)
 from gibbslearn.sdp import SdpOptions, SdpProblem, SolverStatus, solve
-from gibbslearn.states import add_noise, build_table, gibbs_density
+from gibbslearn.states import (
+    ExpectationTable,
+    add_noise,
+    build_table,
+    gibbs_density,
+    required_strings,
+)
 
 
 class TestMetrics:
@@ -65,7 +82,7 @@ class TestReconstructSmall:
         b = all_strings(1, include_identity=False)
         h_terms = string_basis_operators(b)
         asm = MomentAssembler(b, h_terms)
-        table = build_table(rho, asm.required_strings())
+        table = build_table(rho, required_strings(b, h_terms))
         result = reconstruct(table, asm)
         assert result.verdict is Verdict.CANDIDATE
         z = coefficient_vector(h, b)
@@ -79,7 +96,7 @@ class TestReconstructSmall:
         b = all_strings(2, include_identity=False)
         h_terms = string_basis_operators(b[:4])
         asm = MomentAssembler(b, h_terms)
-        table = build_table(rho, asm.required_strings())
+        table = build_table(rho, required_strings(b, h_terms))
         with pytest.raises(NormalizationDegenerate):
             reconstruct(table, asm)
 
@@ -88,7 +105,7 @@ class TestReconstructSmall:
         b = all_strings(2, include_identity=False)
         h_terms = string_basis_operators(b[:4])
         asm = MomentAssembler(b, h_terms)
-        table = build_table(rho, asm.required_strings())
+        table = build_table(rho, required_strings(b, h_terms))
         opts = ReconstructOptions(sdp=SdpOptions(fixed_temperature=1.0))
         result = reconstruct(table, asm, opts)
         # every probed term is a symmetry of the tracial state, so the whole
@@ -105,7 +122,7 @@ class TestReconstructSmall:
         b = all_strings(1, include_identity=False)
         h_terms = [PauliOperator.from_terms(1, [(1.0, "X0")])]
         asm = MomentAssembler(b, h_terms)
-        table = build_table(rho, asm.required_strings())
+        table = build_table(rho, required_strings(b, h_terms))
         result = reconstruct(table, asm)
         assert result.verdict is Verdict.NOT_STATIONARY
         assert result.diagnostics.q == 0
@@ -121,7 +138,7 @@ class TestReconstructSmall:
         outputs = []
         for c in (1.0, 2.5):
             rho = gibbs_density(c * h, c * 1.2)
-            table = build_table(rho, asm.required_strings())
+            table = build_table(rho, required_strings(b, h_terms))
             result = reconstruct(table, asm)
             report = evaluate_recovery(result, z, 1.2)
             outputs.append((result.verdict, report.theta))
@@ -138,7 +155,7 @@ class TestReconstructSmall:
             h_terms = string_basis_operators(terms)
             asm = MomentAssembler(b, h_terms)
             rho = gibbs_density(h, 1.5)
-            table = build_table(rho, asm.required_strings())
+            table = build_table(rho, required_strings(b, h_terms))
             result = reconstruct(table, asm)
             assert result.verdict is Verdict.CANDIDATE
             assert result.mu_star >= -1e-7
@@ -151,7 +168,7 @@ class TestReconstructSmall:
         b = enumerate_geometric_k_local(n, 2)
         h_terms = string_basis_operators(b)
         asm = MomentAssembler(b, h_terms)
-        table = build_table(gibbs_density(xxz_chain(n), 1.0), asm.required_strings())
+        table = build_table(gibbs_density(xxz_chain(n), 1.0), required_strings(b, h_terms))
         _, moments = asm.moment_set(table)
         evals = np.linalg.eigvalsh(moments.delta)
         # the spectrum is symmetric under lambda -> 1/lambda around a cluster
@@ -189,7 +206,7 @@ class TestReconstructSmall:
         b = all_strings(n, include_identity=False)
         h_terms = string_basis_operators(b)
         asm = MomentAssembler(b, h_terms)
-        table = build_table(rho, asm.required_strings())
+        table = build_table(rho, required_strings(b, h_terms))
         try:
             result = reconstruct(table, asm)
             assert result.verdict in (Verdict.NOT_GIBBS, Verdict.CANDIDATE)
@@ -210,12 +227,79 @@ class TestCentralPath:
         b = enumerate_geometric_k_local(n, 2)
         h_terms = string_basis_operators(b)
         asm = MomentAssembler(b, h_terms)
-        exact = build_table(gibbs_density(xxz_chain(n, 0.5), 1.0), asm.required_strings())
+        exact = build_table(gibbs_density(xxz_chain(n, 0.5), 1.0), required_strings(b, h_terms))
         table = add_noise(exact, 1e-8, np.random.SeedSequence(0))
         result = reconstruct(table, asm)
         assert result.verdict is Verdict.CANDIDATE
         assert result.diagnostics.solver_iterations == 13
         assert result.t_star == pytest.approx(0.203138265318453, rel=1e-8)
+
+
+def xxz_bond_terms(n):
+    """The bond operators -(XX + YY + 0.5 ZZ) of the XXZ chain, one term each."""
+    return [
+        PauliOperator.from_terms(
+            n, [(-1.0, f"X{i} X{i+1}"), (-1.0, f"Y{i} Y{i+1}"), (-0.5, f"Z{i} Z{i+1}")]
+        )
+        for i in range(n - 1)
+    ]
+
+
+def read_strings(b, h_terms):
+    """The strings the moments read, by the Pauli algebra: (pairs and terms, triples).
+
+    Every b_l b_k and every term string t, then b_l t b_k over every l
+    wherever t anticommutes with b_k; the commutator is zero elsewhere.
+    """
+    terms = {t for op in h_terms for t in op.terms}
+    pairs = {multiply(bl, bk)[0] for bl in b for bk in b}
+    triples = {
+        multiply(multiply(bl, t)[0], bk)[0]
+        for t in terms
+        for bk in b
+        if not t.commutes_with(bk)
+        for bl in b
+    }
+    return pairs | terms, triples
+
+
+def rows_of(table, strings):
+    """The rows of ``table`` for ``strings`` only, with its noise level and seed."""
+    x, z = masks(sorted(strings, key=lambda s: (s.x, s.z)))
+    return ExpectationTable(table.n, x, z, table.lookup(x, z), table.noise_sigma, table.seed)
+
+
+def outcome(result):
+    return repr(result.verdict), repr(result.mu_star), repr(result.t_star), repr(result.y_star)
+
+
+class TestReadStrings:
+    """A table needs only the strings the moments read."""
+
+    @pytest.mark.parametrize("n, terms", [(5, "strings"), (6, "bonds")])
+    def test_read_rows_give_the_same_result(self, n, terms):
+        b = enumerate_geometric_k_local(n, 2)
+        h_terms = string_basis_operators(b) if terms == "strings" else xxz_bond_terms(n)
+        asm = MomentAssembler(b, h_terms)
+        exact = build_table(gibbs_density(xxz_chain(n, 0.5), 1.0), required_strings(b, h_terms))
+        noisy = add_noise(exact, 1e-8, np.random.SeedSequence(3))
+        read = set.union(*read_strings(b, h_terms))
+        assert len(read) < len(exact.values)
+        for full in (exact, noisy):
+            pruned = reconstruct(rows_of(full, read), asm)
+            assert pruned.verdict is Verdict.CANDIDATE
+            assert outcome(pruned) == outcome(reconstruct(full, asm))
+
+    def test_missing_triple_is_named(self):
+        n = 5
+        b = enumerate_geometric_k_local(n, 2)
+        h_terms = xxz_bond_terms(n)
+        exact = build_table(gibbs_density(xxz_chain(n, 0.5), 1.0), required_strings(b, h_terms))
+        pairs_and_terms, triples = read_strings(b, h_terms)
+        dropped = min(triples - pairs_and_terms, key=lambda s: (s.x, s.z))
+        table = rows_of(exact, (pairs_and_terms | triples) - {dropped})
+        with pytest.raises(IncompleteData, match=f"'{dropped.to_text()}'"):
+            reconstruct(table, MomentAssembler(b, h_terms))
 
 
 class TestVerdict:
@@ -247,8 +331,9 @@ class TestResultSerialization:
     def test_not_stationary_keys(self, tmp_path):
         h = PauliOperator.from_terms(1, [(-1.0, "Z0")])
         b = all_strings(1, include_identity=False)
-        asm = MomentAssembler(b, [PauliOperator.from_terms(1, [(1.0, "X0")])])
-        result = reconstruct(build_table(gibbs_density(h, 1.0), asm.required_strings()), asm)
+        h_terms = [PauliOperator.from_terms(1, [(1.0, "X0")])]
+        asm = MomentAssembler(b, h_terms)
+        result = reconstruct(build_table(gibbs_density(h, 1.0), required_strings(b, h_terms)), asm)
         lines = dict((key, value) for key, _, value in record_lines(result, tmp_path))
         assert list(lines) == RECORD_HEAD
         assert lines["verdict"] == "NotStationary" and lines["q"] == "0"
@@ -260,15 +345,11 @@ class TestResultSerialization:
         # the XXZ bond operators as candidate terms: each coefficient line is
         # labelled with its operator's text
         n = 4
-        bonds = [
-            PauliOperator.from_terms(
-                n, [(-1.0, f"X{i} X{i+1}"), (-1.0, f"Y{i} Y{i+1}"), (-0.5, f"Z{i} Z{i+1}")]
-            )
-            for i in range(n - 1)
-        ]
-        asm = MomentAssembler(enumerate_geometric_k_local(n, 2), bonds)
+        bonds = xxz_bond_terms(n)
+        b = enumerate_geometric_k_local(n, 2)
+        asm = MomentAssembler(b, bonds)
         rho = gibbs_density(xxz_chain(n, 0.5), 1.0)
-        result = reconstruct(build_table(rho, asm.required_strings()), asm)
+        result = reconstruct(build_table(rho, required_strings(b, bonds)), asm)
         assert result.verdict is Verdict.CANDIDATE
         lines = record_lines(result, tmp_path)
         assert [key for key, _, _ in lines[len(RECORD_HEAD):]] == [
@@ -282,7 +363,7 @@ class TestResultSerialization:
         b = all_strings(1, include_identity=False)
         h_terms = string_basis_operators(b)
         asm = MomentAssembler(b, h_terms)
-        table = build_table(rho, asm.required_strings())
+        table = build_table(rho, required_strings(b, h_terms))
         result = reconstruct(table, asm)
         path = tmp_path / "result.txt"
         result.save(path)

@@ -23,7 +23,7 @@ from gibbslearn.pauli import (
     masks,
     multiply,
 )
-from gibbslearn.states import add_noise, build_table, gibbs_density
+from gibbslearn.states import add_noise, build_table, gibbs_density, required_strings
 
 
 def make_setup(n, temperature, rng, b=None, h_strings=None):
@@ -32,7 +32,7 @@ def make_setup(n, temperature, rng, b=None, h_strings=None):
     h_terms = string_basis_operators(h_strings if h_strings is not None else terms)
     asm = MomentAssembler(b, h_terms)
     rho = gibbs_density(h, temperature)
-    table = build_table(rho, asm.required_strings())
+    table = build_table(rho, required_strings(b, h_terms))
     return h, z, b, h_terms, asm, rho, table
 
 
@@ -90,7 +90,7 @@ class TestDeltaAndH:
         rho = gibbs_density(PauliOperator.zero(2), 1.0)
         b = all_strings(2, include_identity=False)
         asm = MomentAssembler(b, [])
-        table = build_table(rho, asm.required_strings())
+        table = build_table(rho, required_strings(b, []))
         gram = asm.gram(table)
         delta = delta_from_gram(gram, orthonormalize(gram).coeffs)
         assert np.abs(delta - np.eye(len(b))).max() < 1e-12
@@ -103,7 +103,7 @@ class TestDeltaAndH:
         rho = gibbs_density(h, t)
         b = [PauliString.from_text("X0", 1), PauliString.from_text("Y0", 1)]
         asm = MomentAssembler(b, [])
-        table = build_table(rho, asm.required_strings())
+        table = build_table(rho, required_strings(b, []))
         gram = asm.gram(table)
         delta = delta_from_gram(gram, orthonormalize(gram).coeffs)
         got = np.sort(scipy.linalg.eigvalsh(delta))
@@ -171,7 +171,7 @@ class TestModularCongruence:
         outcomes = {"positive": 0, "gram_degenerate": 0}
         for n, b, sigmas in cases:
             asm = MomentAssembler(b, [])
-            exact = build_table(gibbs_density(xxz_chain(n), 1.0), asm.required_strings())
+            exact = build_table(gibbs_density(xxz_chain(n), 1.0), required_strings(b, []))
             for sigma in sigmas:
                 for seed in (11, 12, 13):
                     table = add_noise(exact, sigma, seed)
@@ -205,8 +205,9 @@ class TestW:
         h = PauliOperator.from_terms(1, [(-1.0, "Z0")])
         rho = gibbs_density(h, 1.0)
         b = all_strings(1, include_identity=False)
-        asm = MomentAssembler(b, [PauliOperator.from_terms(1, [(1.0, "Z0")])])
-        table = build_table(rho, asm.required_strings())
+        h_terms = [PauliOperator.from_terms(1, [(1.0, "Z0")])]
+        asm = MomentAssembler(b, h_terms)
+        table = build_table(rho, required_strings(b, h_terms))
         _, moments = asm.moment_set(table)
         assert np.abs(moments.w_matrix).max() < 1e-12
 
@@ -226,7 +227,7 @@ class TestW:
         h_terms = string_basis_operators(terms)
         asm = MomentAssembler(b, h_terms)
         rho = gibbs_density(h, 1.0)
-        table = build_table(rho, asm.required_strings())
+        table = build_table(rho, required_strings(b, h_terms))
         _, moments = asm.moment_set(table)
         w_real = 0.5 * (moments.w_matrix + moments.w_matrix.conj()).real
         quad = z @ w_real @ z
@@ -277,7 +278,7 @@ class TestKernel:
         asm = MomentAssembler(b, h_terms)
         h = xxz_chain(n)
         rho = gibbs_density(h, 2.0)
-        table = build_table(rho, asm.required_strings())
+        table = build_table(rho, required_strings(b, h_terms))
         _, moments = asm.moment_set(table)
         assert moments.q >= 1
         spectrum = moments.w_spectrum
@@ -354,7 +355,7 @@ class TestExactAssembly:
         h_terms = [z0, bonds[0], x1y2, bonds[1]]
         asm = MomentAssembler(b, h_terms)
         h, _, _ = random_k_local_hamiltonian(n, 2, rng, coeff_norm=0.8)
-        exact = build_table(gibbs_density(h, 1.0), asm.required_strings())
+        exact = build_table(gibbs_density(h, 1.0), required_strings(b, h_terms))
         return b, h_terms, asm, add_noise(exact, 1e-3, 5)
 
     def test_moments_match_pauli_expansion(self, rng):

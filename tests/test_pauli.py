@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gibbslearn.errors import DenseLimitExceeded, DimensionMismatch
+from gibbslearn.models import string_basis_operators
 from gibbslearn.pauli import (
     PauliOperator,
     PauliString,
@@ -15,11 +16,11 @@ from gibbslearn.pauli import (
     masks,
     multiply,
     parse_texts,
-    product_closure,
     string_dense,
     texts,
     unique_masks,
 )
+from gibbslearn.states import required_strings
 
 from oracles import kron_operator, kron_string, letters_sort_key, letters_text, mask_strings
 
@@ -157,8 +158,7 @@ class TestEnumeration:
 
 
 def closure_strings(b):
-    closure = product_closure(b, b)
-    return mask_strings(b[0].n, closure.x, closure.z)
+    return mask_strings(b[0].n, *required_strings(b, string_basis_operators(b)))
 
 
 class TestSortKey:
@@ -330,9 +330,10 @@ class TestTextCodec:
         assert_text_roundtrip(x, z, n)
 
     def test_two_local_closure_n6(self):
-        closure = product_closure(*[enumerate_geometric_k_local(6, 2)] * 2)
-        assert len(closure.x) == 4096
-        assert_text_roundtrip(closure.x, closure.z, 6)
+        b = enumerate_geometric_k_local(6, 2)
+        x, z = required_strings(b, string_basis_operators(b))
+        assert len(x) == 4096
+        assert_text_roundtrip(x, z, 6)
 
     def test_top_bit_n64(self):
         words = np.random.default_rng(64).integers(0, 1 << 64, size=(2, 500), dtype=np.uint64)
