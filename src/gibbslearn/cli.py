@@ -122,6 +122,11 @@ class ExperimentConfig:
             raise ConfigError("[experiment] sigma_grid: empty grid")
         if any(s < 0 for s in self.sigma_grid):
             raise ConfigError("[experiment] sigma_grid: must be nonnegative")
+        for key in ("temperatures", "sigma_grid"):
+            grid = getattr(self, key)
+            repeated = [value for i, value in enumerate(grid) if value in grid[:i]]
+            if repeated:
+                raise ConfigError(f"[experiment] {key}: {repeated[0]!r} is listed twice")
         if self.runs_per_point < 1:
             raise ConfigError("[experiment] runs_per_point: must be at least 1")
         if self.workers < 1:

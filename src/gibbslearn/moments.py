@@ -9,10 +9,9 @@ requires them.
 Pauli products are structural: phases and base strings do not depend on the
 data.  The assembler therefore precomputes integer index maps once per
 (b, h_terms) pair, after which any number of (noisy) tables can be processed
-with plain array gathers.  It holds only the products its moments read: the
-pairs b_l b_k, the term strings t_u, and the triples b_l t_u b_k over every l
-for the pairs (u, k) where t_u anticommutes with b_k.  A table needs no other
-string, and a missing one raises IncompleteData naming it.
+with plain array gathers.  It holds only the products its moments read
+(``states.read_products``); a table needs no other string, and a missing one
+raises IncompleteData naming it.
 
 Every phase follows one rule (Aaronson and Gottesman 2004).  With
 y(p) = np.bitwise_count(x & z), the number of Y letters of p, a product of strings
@@ -37,8 +36,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatch, GramDegenerate
-from .pauli import PHASES, PauliOperator, PauliString, check_mask_limit, masks, unique_masks
-from .states import ExpectationTable
+from .pauli import PHASES, PauliOperator, PauliString, check_mask_limit, masks
+from .states import ExpectationTable, read_products
 
 DEFAULT_GRAM_FLOOR_REL = 1e-10
 EPSILON_W_FLOOR = 1e-11
@@ -108,19 +107,10 @@ class MomentAssembler:
         self._alpha = np.array(alpha, dtype=np.int64)
         self._ct = np.array(ct, dtype=float)
 
-        # the anticommuting pairs (t_u, b_k) in u-major order, and the products
-        # read: every b_l b_k, b_l t_u b_k over every l for those pairs, and t_u
         xb, zb = masks(self.b)
         xt, zt = masks(strings)
-        zx_bb = np.bitwise_count(zb[:, None] & xb[None, :])  # (l, k)
-        zx_tb = np.bitwise_count(zt[:, None] & xb[None, :])  # (u, k)
-        anti = (zx_tb + np.bitwise_count(xt[:, None] & zb[None, :])) % 2 == 1  # (u, k)
-        u, k = np.nonzero(anti)
-        x_pair, z_pair = xb[:, None] ^ xb[None, :], zb[:, None] ^ zb[None, :]
-        x_triple, z_triple = x_pair[:, k].T ^ xt[u, None], z_pair[:, k].T ^ zt[u, None]  # (p, l)
-        self._x, self._z, inverse = unique_masks(
-            np.concatenate([x_pair.ravel(), x_triple.ravel(), xt]),
-            np.concatenate([z_pair.ravel(), z_triple.ravel(), zt]),
+        (u, k), (x_pair, z_pair), (x_triple, z_triple), (self._x, self._z, inverse) = (
+            read_products(xb, zb, xt, zt)
         )
         r, pairs, triples = len(self.b), x_pair.size, x_triple.size
         self._pair_idx = inverse[:pairs].reshape(r, r)
@@ -130,12 +120,14 @@ class MomentAssembler:
         # phases of every b_l b_k and b_l t_u b_k (module docstring), in uint8:
         # sums wrap modulo 256, a multiple of 4, so every exponent stays exact
         y_b, y_t = np.bitwise_count(xb & zb), np.bitwise_count(xt & zt)
+        zx_bb = np.bitwise_count(zb[:, None] & xb[None, :])  # (l, k)
+        zx_tb = np.bitwise_count(zt[u] & xb[k])  # (p,)
         g_pair = (y_b[:, None] + y_b[None, :] - np.bitwise_count(x_pair & z_pair) + 2 * zx_bb) % 4
         g_triple = (
             y_b[None, :]
             + (y_t[u] + y_b[k])[:, None]
             - np.bitwise_count(x_triple & z_triple)
-            + 2 * (np.bitwise_count(zb[None, :] & xt[u, None]) + zx_bb[:, k].T + zx_tb[u, k, None])
+            + 2 * (np.bitwise_count(zb[None, :] & xt[u, None]) + zx_bb[:, k].T + zx_tb[:, None])
         ) % 4
         self._pair_phase = _PHASE_TABLE[g_pair]
         # c_u omega(b_l [t_u, b_k]) = c_u 2 i^g omega(b_l t_u b_k) on the pair (u, k)
@@ -145,7 +137,7 @@ class MomentAssembler:
         # structural count of nonzero commutator triples for the W threshold:
         # every (i, alpha, j) with [h_alpha, b_j] structurally nonzero
         pair_nonzero = np.zeros((len(self.h_terms), r), dtype=bool)
-        np.logical_or.at(pair_nonzero, self._alpha, anti)
+        pair_nonzero[self._alpha[u], k] = True
         self.commutator_term_count = int(r * pair_nonzero.sum())
 
     # -- data-dependent assembly ------------------------------------------

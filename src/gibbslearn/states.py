@@ -106,28 +106,40 @@ def expectation(rho: DensityMatrix, p: PauliString) -> float:
     return float(value.real)
 
 
+def read_products(xb: np.ndarray, zb: np.ndarray, xt: np.ndarray, zt: np.ndarray):
+    """The products the moments read, from the uint64 masks of basis strings b and term strings t.
+
+    Returns the pairs (u, k) where t_u anticommutes with b_k, in u-major order;
+    the (r, r) masks of every b_l b_k; the (p, r) masks of b_l t_u b_k for the
+    p-th pair and every l; and (x, z, inverse), the distinct strings of the
+    pairs, the triples and the t_u, sorted by (x, z), and where each lands.
+    Where t_u commutes with b_k, b_l [t_u, b_k] is zero: no such triple is built.
+    """
+    zx = np.bitwise_count(zt[:, None] & xb[None, :])
+    u, k = np.nonzero((zx + np.bitwise_count(xt[:, None] & zb[None, :])) % 2 == 1)
+    x_pair, z_pair = xb[:, None] ^ xb[None, :], zb[:, None] ^ zb[None, :]
+    x_triple, z_triple = x_pair[:, k].T ^ xt[u, None], z_pair[:, k].T ^ zt[u, None]
+    distinct = pauli.unique_masks(
+        np.concatenate([x_pair.ravel(), x_triple.ravel(), xt]),
+        np.concatenate([z_pair.ravel(), z_triple.ravel(), zt]),
+    )
+    return (u, k), (x_pair, z_pair), (x_triple, z_triple), distinct
+
+
 def required_strings(
     b_basis: Sequence[PauliString], h_terms: Sequence[PauliOperator]
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The uint64 masks (x, z) of the strings whose expectations determine every moment matrix.
+    """The uint64 masks (x, z) of the strings the moments read (``read_products``), sorted.
 
-    Products b_i b_j cover the Gram matrix and the modular matrix (reversed
-    products share base strings), triple products b_i t b_j with t running
-    over the strings of each Hamiltonian term cover the commutator moments,
-    and the strings of the terms themselves cover the normalization data.
-    They are the distinct strings, sorted by (x, z).  The moment assembler
-    reads only part of them: a triple whose t commutes with b_j has weight zero.
+    Products b_i b_j give the Gram and modular matrices, the term strings t the
+    normalization data, and b_i t b_j the commutator moments wherever t
+    anticommutes with b_j.  ``MomentAssembler`` reads exactly these strings.
     """
     if not b_basis:
         return pauli.masks([])
     pauli.check_mask_limit(b_basis[0].n, "string closure")
-    xb, zb = pauli.masks(b_basis)
-    xt, zt = pauli.masks([t for op in h_terms for t in op.terms])
-    x_pair, z_pair = xb[:, None] ^ xb[None, :], zb[:, None] ^ zb[None, :]
-    x, z, _ = pauli.unique_masks(
-        np.concatenate([x_pair.ravel(), (xt[:, None, None] ^ x_pair).ravel(), xt]),
-        np.concatenate([z_pair.ravel(), (zt[:, None, None] ^ z_pair).ravel(), zt]),
-    )
+    terms = [t for op in h_terms for t in op.terms]
+    *_, (x, z, _) = read_products(*pauli.masks(b_basis), *pauli.masks(terms))
     return x, z
 
 
@@ -169,9 +181,9 @@ class ExpectationTable:
     """Pauli strings, as uint64 masks ``x`` and ``z``, and their (possibly noisy) values.
 
     The constructor sorts the three arrays once into canonical string order
-    (``pauli.canonical_order``), which saving and drawing noise follow.  A
-    mask outside the n sites, a string listed twice, a non-finite value and
-    an identity value other than exactly 1 raise ValueError.
+    (``pauli.canonical_order``), which saving follows.  A mask outside the n
+    sites, a string listed twice, a non-finite value and an identity value
+    other than exactly 1 raise ValueError.
     """
 
     n: int
@@ -280,20 +292,35 @@ def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def add_noise(table: ExpectationTable, sigma: float, seed) -> ExpectationTable:
-    """Independent Gaussian noise of standard deviation sigma per entry.
+def _mix(h: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer on uint64 arrays; products wrap modulo 2^64."""
+    h = (h ^ (h >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    h = (h ^ (h >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return h ^ (h >> np.uint64(31))
 
-    One draw per entry, in the table's canonical order, so the result is
-    independent of any evaluation schedule.  The identity's draw is
-    discarded and its entry stays 1; entries are not clamped to [-1, 1].
-    Composing noisy tables adds variances.
+
+def add_noise(table: ExpectationTable, sigma: float, seed) -> ExpectationTable:
+    """Independent Gaussian noise of standard deviation sigma per entry, keyed by its string.
+
+    The seed, an int or a ``np.random.SeedSequence``, gives uint64 keys k0, k1.
+    The string (x, z) hashes to h = mix(mix(x ^ k0) ^ z), with ``mix`` the
+    splitmix64 finalizer, and draws sigma sqrt(-2 ln u1) cos(2 pi u2) with
+    u1 = ((h >> 11) + 1) 2^-53 and u2 = (mix(h ^ k1) >> 11) 2^-53.  So any subset
+    or reordering of a table carries the same noisy values as the whole, and an
+    integral seed, which the table records, reproduces every draw.  The identity
+    stays 1, entries are not clamped to [-1, 1], and composing adds variances.
     """
     if sigma < 0:
         raise ValueError(f"noise standard deviation must be >= 0, got {sigma}")
     if sigma == 0:
         return replace(table)
-    values = table.values + np.random.default_rng(seed).normal(0.0, sigma, len(table.values))
+    sequence = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    k0, k1 = sequence.generate_state(2, np.uint64)
+    h = _mix(_mix(table.x ^ k0) ^ table.z)
+    u1 = ((h >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
+    u2 = (_mix(h ^ k1) >> np.uint64(11)) * 2.0**-53
+    values = table.values + sigma * np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
     values[(table.x | table.z) == 0] = 1.0
     combined = math.sqrt(table.noise_sigma**2 + sigma**2)
-    seed_repr = seed if isinstance(seed, int) else None
+    seed_repr = int(seed) if isinstance(seed, (int, np.integer)) else None
     return ExpectationTable(table.n, table.x, table.z, values, combined, seed_repr)

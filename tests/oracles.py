@@ -7,7 +7,7 @@ from functools import reduce
 import numpy as np
 import scipy.linalg
 
-from gibbslearn.pauli import PauliString
+from gibbslearn.pauli import PauliString, multiply
 
 PAULI_MATS = {
     "I": np.eye(2, dtype=complex),
@@ -112,3 +112,54 @@ def sdp_bisection_oracle(l0, h_mats, w, t_hi=10.0, y_box=10.0, xtol=2e-7):
 def mask_strings(n, x, z):
     """The strings of two mask arrays as ``PauliString`` objects, in their order."""
     return [PauliString(n, a, b) for a, b in zip(np.asarray(x).tolist(), np.asarray(z).tolist())]
+
+
+def read_strings(b, h_terms):
+    """The strings the moments read, by the Pauli algebra: (pairs and terms, triples).
+
+    Every b_l b_k and every term string t, then b_l t b_k over every l
+    wherever t anticommutes with b_k; the commutator is zero elsewhere.
+    """
+    terms = {t for op in h_terms for t in op.terms}
+    pairs = {multiply(bl, bk)[0] for bl in b for bk in b}
+    triples = {
+        multiply(multiply(bl, t)[0], bk)[0]
+        for t in terms
+        for bk in b
+        if not t.commutes_with(bk)
+        for bl in b
+    }
+    return pairs | terms, triples
+
+
+def full_closure(b, h_terms):
+    """Every product b_l b_k, t and b_l t b_k, whether or not the moments read it."""
+    terms = {t for op in h_terms for t in op.terms}
+    out = {multiply(bl, bk)[0] for bl in b for bk in b} | terms
+    for bl in b:
+        for t in terms:
+            blt = multiply(bl, t)[0]
+            out |= {multiply(blt, bk)[0] for bk in b}
+    return out
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix_finalizer(h):
+    h = ((h ^ (h >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    h = ((h ^ (h >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return h ^ (h >> 31)
+
+
+def keyed_normal(keys, x, z):
+    """The standard normal draw of the string with masks (x, z) under uint64 keys (k0, k1).
+
+    Python integers and ``math`` only: h = mix(mix(x ^ k0) ^ z), then
+    Box-Muller on u1 = ((h >> 11) + 1) 2^-53 and u2 = (mix(h ^ k1) >> 11) 2^-53.
+    """
+    k0, k1 = (int(k) for k in keys)
+    h = _splitmix_finalizer(_splitmix_finalizer(x ^ k0) ^ z)
+    u1 = ((h >> 11) + 1) * 2.0**-53
+    u2 = (_splitmix_finalizer(h ^ k1) >> 11) * 2.0**-53
+    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)

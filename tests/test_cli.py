@@ -81,6 +81,13 @@ class TestConfig:
         cfg = ExperimentConfig(n=99)
         with pytest.raises(ConfigError):
             cfg.validate()
+        # a repeated grid value would write one gen file twice and give sweep rows one key
+        cfg = ExperimentConfig(n=3, temperatures=[2.0, 1.0, 2.0])
+        with pytest.raises(ConfigError, match=r"temperatures: 2\.0 is listed twice"):
+            cfg.validate()
+        cfg = ExperimentConfig(n=3, sigma_grid=[0.0, 1e-6, -0.0])
+        with pytest.raises(ConfigError, match=r"sigma_grid: -0\.0 is listed twice"):
+            cfg.validate()
 
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "exp.ini"
@@ -164,6 +171,9 @@ class TestConfig:
             ["sweep", "--runs-per-point", "0"],
             ["sweep", "--epsilon-w", "-1"],
             ["sweep", "--epsilon-w", "0"],
+            ["gen", "--temperatures", "1,1"],
+            ["sweep", "--temperatures", "1,2,1.0"],
+            ["sweep", "--sigma-grid", "1e-6,1e-6"],
         ],
     )
     def test_bad_flag_value_is_config_error(self, tmp_path, capsys, argv):

@@ -30,7 +30,6 @@ from gibbslearn.pauli import (
     all_strings,
     enumerate_geometric_k_local,
     masks,
-    multiply,
 )
 from gibbslearn.sdp import SdpOptions, SdpProblem, SolverStatus, solve
 from gibbslearn.states import (
@@ -40,6 +39,8 @@ from gibbslearn.states import (
     gibbs_density,
     required_strings,
 )
+
+from oracles import full_closure, letters_sort_key, mask_strings, read_strings
 
 
 class TestMetrics:
@@ -220,9 +221,9 @@ class TestReconstructSmall:
 
 class TestCentralPath:
     def test_xxz_n6_iterations_and_temperature(self):
-        # a solver rewrite must follow the same interior-point path: these
-        # are the iteration count and T* of the real-embedding solver that
-        # preceded the complex Hermitian one
+        # a solver rewrite must follow the same interior-point path: the
+        # iteration count is that of the real-embedding solver that preceded
+        # the complex Hermitian one, and T* is its value on these noise draws
         n = 6
         b = enumerate_geometric_k_local(n, 2)
         h_terms = string_basis_operators(b)
@@ -232,7 +233,7 @@ class TestCentralPath:
         result = reconstruct(table, asm)
         assert result.verdict is Verdict.CANDIDATE
         assert result.diagnostics.solver_iterations == 13
-        assert result.t_star == pytest.approx(0.203138265318453, rel=1e-8)
+        assert result.t_star == pytest.approx(0.20313823824930388, rel=1e-8)
 
 
 def xxz_bond_terms(n):
@@ -243,24 +244,6 @@ def xxz_bond_terms(n):
         )
         for i in range(n - 1)
     ]
-
-
-def read_strings(b, h_terms):
-    """The strings the moments read, by the Pauli algebra: (pairs and terms, triples).
-
-    Every b_l b_k and every term string t, then b_l t b_k over every l
-    wherever t anticommutes with b_k; the commutator is zero elsewhere.
-    """
-    terms = {t for op in h_terms for t in op.terms}
-    pairs = {multiply(bl, bk)[0] for bl in b for bk in b}
-    triples = {
-        multiply(multiply(bl, t)[0], bk)[0]
-        for t in terms
-        for bk in b
-        if not t.commutes_with(bk)
-        for bl in b
-    }
-    return pairs | terms, triples
 
 
 def rows_of(table, strings):
@@ -274,21 +257,30 @@ def outcome(result):
 
 
 class TestReadStrings:
-    """A table needs only the strings the moments read."""
+    """A table needs only the strings the moments read, and ``gen`` writes only those."""
 
     @pytest.mark.parametrize("n, terms", [(5, "strings"), (6, "bonds")])
     def test_read_rows_give_the_same_result(self, n, terms):
         b = enumerate_geometric_k_local(n, 2)
         h_terms = string_basis_operators(b) if terms == "strings" else xxz_bond_terms(n)
         asm = MomentAssembler(b, h_terms)
-        exact = build_table(gibbs_density(xxz_chain(n, 0.5), 1.0), required_strings(b, h_terms))
-        noisy = add_noise(exact, 1e-8, np.random.SeedSequence(3))
-        read = set.union(*read_strings(b, h_terms))
-        assert len(read) < len(exact.values)
-        for full in (exact, noisy):
-            pruned = reconstruct(rows_of(full, read), asm)
-            assert pruned.verdict is Verdict.CANDIDATE
-            assert outcome(pruned) == outcome(reconstruct(full, asm))
+        rho = gibbs_density(xxz_chain(n, 0.5), 1.0)
+        closure = build_table(rho, masks(list(full_closure(b, h_terms))))
+        gen_rows = build_table(rho, required_strings(b, h_terms))
+        assert mask_strings(n, gen_rows.x, gen_rows.z) == sorted(
+            set.union(*read_strings(b, h_terms)), key=letters_sort_key
+        )
+        assert len(gen_rows.values) < len(closure.values)
+        # noise keyed by string gives the gen rows the closure's noisy values
+        for full, rows in (
+            (closure, gen_rows),
+            (add_noise(closure, 1e-8, np.random.SeedSequence(3)),
+             add_noise(gen_rows, 1e-8, np.random.SeedSequence(3))),
+        ):
+            assert np.array_equal(full.lookup(rows.x, rows.z), rows.values)
+            result = reconstruct(rows, asm)
+            assert result.verdict is Verdict.CANDIDATE
+            assert outcome(result) == outcome(reconstruct(full, asm))
 
     def test_missing_triple_is_named(self):
         n = 5

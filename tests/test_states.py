@@ -13,7 +13,6 @@ from gibbslearn.pauli import (
     dense_matrix,
     enumerate_geometric_k_local,
     masks,
-    multiply,
 )
 from gibbslearn.states import (
     ExpectationTable,
@@ -26,7 +25,14 @@ from gibbslearn.states import (
     write_tsv,
 )
 
-from oracles import kron_operator, kron_string, letters_sort_key, mask_strings
+from oracles import (
+    keyed_normal,
+    kron_operator,
+    kron_string,
+    letters_sort_key,
+    mask_strings,
+    read_strings,
+)
 
 
 def asymmetric_chain(n, seed=0):
@@ -159,20 +165,6 @@ class TestExpectation:
             assert expectation(rho, s) ** 2 <= 1 + 1e-12
 
 
-def enumerate_closure(b, h_terms):
-    """The required strings by explicit products, one string at a time."""
-    terms = {t for op in h_terms for t in op.terms}
-    out = {PauliString.identity(b[0].n)} | terms
-    for p in b:
-        for q in b:
-            out.add(multiply(p, q)[0])
-        for t in terms:
-            pt = multiply(p, t)[0]
-            for q in b:
-                out.add(multiply(pt, q)[0])
-    return out
-
-
 class TestRequiredStrings:
     @pytest.mark.parametrize("n", [17, 20])
     def test_closure_above_sixteen_sites(self, n):
@@ -184,10 +176,10 @@ class TestRequiredStrings:
             PauliOperator.from_terms(n, [(-0.5, "Y15 Z16"), (2.0, "Z15 X16")]),
         ]
         h = string_basis_operators(b) + straddling
-        expect = enumerate_closure(b, h)
+        expect = set.union(*read_strings(b, h))
         got = mask_strings(n, *required_strings(b, h))
         assert len(got) == len(expect) and set(got) == expect
-        # the assembler finds every string it reads in a table of the closure
+        # the assembler finds every string it reads in a table of these rows
         x, z = required_strings(b, h)
         table = ExpectationTable(n, x, z, ((x | z) == 0).astype(float))
         assert MomentAssembler(b, h).commutator_tensor(table).shape == (len(h), len(b), len(b))
@@ -196,12 +188,19 @@ class TestRequiredStrings:
         # the top mask bit is a key like any other; one site more is refused
         b = [PauliString.from_text(t, 64) for t in ("X63", "Y0", "Z31 Z32")]
         h = [PauliOperator.from_terms(64, [(1.0, "Y62 Z63")])]
-        assert set(mask_strings(64, *required_strings(b, h))) == enumerate_closure(b, h)
+        assert set(mask_strings(64, *required_strings(b, h))) == set.union(*read_strings(b, h))
         too_big = [PauliString.from_text("X64", 65)]
         with pytest.raises(ValueError, match="at most 64 sites"):
             required_strings(too_big, [])
         with pytest.raises(ValueError, match="at most 64 sites"):
             MomentAssembler(too_big, [])
+
+    @pytest.mark.parametrize("n, rows", [(6, 2530), (10, 16582)])
+    def test_read_set_size(self, n, rows):
+        # the 2-local string basis reads 2,530 of 4,096 strings at n=6 and
+        # 16,582 of the 73,984 in the closure of all triples at n=10
+        b = enumerate_geometric_k_local(n, 2)
+        assert len(required_strings(b, string_basis_operators(b))[0]) == rows
 
     def test_single_qubit_closure(self):
         b = [PauliString.from_text("X0", 1)]
@@ -393,10 +392,11 @@ class TestTable:
         assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
         noisy_a, noisy_b = add_noise(a, 1e-3, 9), add_noise(b, 1e-3, 9)
         assert_same_table(noisy_a, noisy_b)
-        # one draw per entry in that order; the identity's draw is discarded
-        draws = np.random.default_rng(9).normal(0.0, 1e-3, len(strings))
+        # each entry's draw is keyed by its string; the identity stays 1
+        keys = np.random.SeedSequence(9).generate_state(2, np.uint64)
+        draws = np.array([keyed_normal(keys, s.x, s.z) for s in strings])
         assert strings[0].is_identity and noisy_a.values[0] == 1.0
-        assert np.array_equal(noisy_a.values[1:], exact[1:] + draws[1:])
+        assert np.allclose(noisy_a.values[1:], exact[1:] + 1e-3 * draws[1:], rtol=0, atol=1e-15)
 
     def test_load_needs_n_header_first(self, tmp_path):
         path = tmp_path / "table.tsv"
@@ -455,16 +455,47 @@ class TestNoise:
             add_noise(table, -0.1, 0)
 
     def test_empirical_sigma(self):
-        # statistical self-test across many entries
+        # statistical self-test across every string on seven sites
         n = 7
-        strings = [PauliString.identity(n)] + all_strings(n, include_identity=False)[:12000]
-        values = np.zeros(len(strings))
-        values[0] = 1.0
-        table = ExpectationTable(n, *masks(strings), values)
+        x, z = masks(all_strings(n))
+        table = ExpectationTable(n, x, z, ((x | z) == 0).astype(float))
         sigma = 1e-3
-        noisy = add_noise(table, sigma, 11)
-        draws = noisy.values[(noisy.x | noisy.z) != 0]
-        assert abs(draws.std() - sigma) / sigma < 0.05
+        draws = add_noise(table, sigma, 11).values[1:] / sigma
+        other = add_noise(table, sigma, 12).values[1:] / sigma
+        limit = 5 / np.sqrt(len(draws))  # five standard errors of a mean or a correlation
+        assert abs(draws.mean()) < limit
+        assert abs(draws.std() - 1) < 0.05
+        assert abs(np.mean(draws**4) / np.mean(draws**2) ** 2 - 3) < 5 * np.sqrt(24 / len(draws))
+        # neighbouring masks, in canonical order and in mask order, and two seeds
+        by_mask = draws[np.lexsort((z[1:], x[1:]))]
+        for a, b in ((draws[:-1], draws[1:]), (by_mask[:-1], by_mask[1:]), (draws, other)):
+            assert abs(np.corrcoef(a, b)[0, 1]) < limit
+
+    def test_subset_and_permutation(self):
+        # a string's noisy value does not depend on which other rows the table holds
+        n = 7
+        x, z = masks(all_strings(n))
+        values = np.random.default_rng(0).uniform(-1, 1, len(x))
+        values[0] = 1.0
+        full = add_noise(ExpectationTable(n, x, z, values), 1e-3, np.random.SeedSequence(4))
+        rng = np.random.default_rng(1)
+        subset = np.sort(rng.choice(len(x), 3000, replace=False))
+        permuted = rng.permutation(len(x))
+        for rows in (subset, permuted):
+            part = ExpectationTable(n, x[rows], z[rows], values[rows])
+            noisy = add_noise(part, 1e-3, np.random.SeedSequence(4))
+            assert np.array_equal(noisy.values, full.lookup(noisy.x, noisy.z))
+
+    def test_integral_seed_recorded(self, tmp_path):
+        # a numpy integer seed is recorded and, with the masks, reproduces every draw
+        table = build_table(gibbs_density(xxz_chain(3), 1.0), masks(all_strings(3)))
+        noisy = add_noise(table, 1e-3, np.int64(5))
+        assert noisy.seed == 5 and type(noisy.seed) is int
+        assert_same_table(noisy, add_noise(table, 1e-3, 5))
+        noisy.save(tmp_path / "t.tsv")
+        back = ExpectationTable.load(tmp_path / "t.tsv")
+        assert_same_table(add_noise(table, 1e-3, back.seed), noisy)
+        assert add_noise(table, 1e-3, np.random.SeedSequence(5)).seed is None
 
     def test_variance_composition(self):
         rho = gibbs_density(xxz_chain(2), 1.0)
