@@ -42,6 +42,7 @@ from .states import (
     write_tsv,
 )
 
+# the keys of a sweep record, in records.csv's column order
 SWEEP_COLUMNS = [
     "sigma_noise",
     "temperature",
@@ -54,31 +55,22 @@ SWEEP_COLUMNS = [
     "wall_ms",
 ]
 
-AGGREGATE_COLUMNS = [
-    "sigma_noise",
-    "temperature",
-    "runs",
-    "failed",
-    "theta_mean",
-    "theta_std",
-    "temp_ratio_mean",
-    "temp_ratio_std",
-]
-
 # the failures a reconstruction reports instead of a verdict
 RECONSTRUCTION_FAILURES = (
     GramDegenerate, DeltaNotPositive, NormalizationDegenerate, SolverFailure
 )
 
-VERDICT_SUMMARY = {
+# each verdict's learn exit code and summary line
+VERDICTS = {
     Verdict.NOT_STATIONARY: (
-        "no direction in the candidate span leaves the state stationary"
+        2, "no direction in the candidate span leaves the state stationary"
     ),
     Verdict.NOT_GIBBS: (
+        3,
         "certified: the state is not a thermal state of any Hamiltonian "
-        "in the candidate span"
+        "in the candidate span",
     ),
-    Verdict.CANDIDATE: "candidate Hamiltonian and temperature recovered",
+    Verdict.CANDIDATE: (0, "candidate Hamiltonian and temperature recovered"),
 }
 
 
@@ -211,6 +203,20 @@ def _string_basis(n: int, k_local: int) -> Tuple[List[PauliString], List[PauliOp
     return basis, models.string_basis_operators(basis)
 
 
+def _exact_tables(h_true, temperatures, basis, h_terms) -> Dict[float, ExpectationTable]:
+    """The exact table of h_true at each temperature, on the strings the moments read."""
+    needed = states.required_strings(basis, h_terms)
+    return {t: build_table(gibbs_density(h_true, t), needed) for t in temperatures}
+
+
+def _truth_vector(h_true: PauliOperator, basis: Sequence[PauliString], k_local: int) -> np.ndarray:
+    """h_true's coefficients on the basis; a term outside the basis is a config error."""
+    try:
+        return models.coefficient_vector(h_true, basis)
+    except ValueError as exc:
+        raise ConfigError(f"truth Hamiltonian: {exc} of {k_local}-local strings") from exc
+
+
 # -- gen ----------------------------------------------------------------------
 
 
@@ -225,12 +231,9 @@ def cmd_gen(args) -> int:
         raise ConfigError(f"--sigma {args.sigma!r}: must be finite and nonnegative")
     os.makedirs(args.out, exist_ok=True)
     h_true = cfg.hamiltonian()
-    basis, h_terms = _string_basis(cfg.n, cfg.k_local)
-    needed = states.required_strings(basis, h_terms)
+    tables = _exact_tables(h_true, cfg.temperatures, *_string_basis(cfg.n, cfg.k_local))
     written = []
-    for t in cfg.temperatures:
-        rho = gibbs_density(h_true, t)
-        table = build_table(rho, needed)
+    for t, table in tables.items():
         if args.sigma:
             table = add_noise(table, args.sigma, cfg.seed)
         stem = f"T{_format_temperature(t)}"
@@ -274,6 +277,7 @@ def cmd_learn(args) -> int:
     if args.epsilon_w is not None and not 0 < args.epsilon_w < math.inf:
         raise ConfigError(f"--epsilon-w {args.epsilon_w!r}: must be finite and positive")
     basis, h_terms = _string_basis(table.n, k_local)
+    z_true = _truth_vector(h_true, basis, k_local) if args.truth else None
     assembler = MomentAssembler(basis, h_terms)
     try:
         result = reconstruct(
@@ -283,24 +287,20 @@ def cmd_learn(args) -> int:
         print(f"reconstruction failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
 
-    print(f"verdict: {result.verdict.value} ({VERDICT_SUMMARY[result.verdict]})")
+    code, summary = VERDICTS[result.verdict]
+    print(f"verdict: {result.verdict.value} ({summary})")
     if result.mu_star is not None:
         print(f"margin mu = {result.mu_star:.6e}")
     if result.t_star is not None:
         print(f"temperature T = {result.t_star:.6e}")
     print(f"kernel dimension q = {result.diagnostics.q}")
-    if args.truth and result.y_star is not None:
-        z_true = models.coefficient_vector(h_true, basis)
+    if z_true is not None and result.y_star is not None:
         report = evaluate_recovery(result, z_true, t_true)
         print(f"recovery angle theta = {report.theta:.6e}")
         print(f"temperature ratio = {report.temperature_ratio:.6e}")
     if args.out:
         result.save(args.out)
-    if result.verdict is Verdict.CANDIDATE:
-        return 0
-    if result.verdict is Verdict.NOT_STATIONARY:
-        return 2
-    return 3
+    return code
 
 
 # -- sweep --------------------------------------------------------------------
@@ -308,12 +308,12 @@ def cmd_learn(args) -> int:
 _WORKER_CTX: dict = {}
 
 
-def _worker_init(cfg: ExperimentConfig, exact_tables: Dict[float, ExpectationTable]):
-    basis, h_terms = _string_basis(cfg.n, cfg.k_local)
+def _worker_init(cfg: ExperimentConfig, basis, h_terms, z_true: np.ndarray, exact_tables):
+    """Hold ``run_sweep``'s basis, truth vector and exact tables; build this process's assembler."""
     _WORKER_CTX["cfg"] = cfg
     _WORKER_CTX["opts"] = ReconstructOptions(epsilon_w=cfg.epsilon_w)
     _WORKER_CTX["assembler"] = MomentAssembler(basis, h_terms)
-    _WORKER_CTX["z_true"] = models.coefficient_vector(cfg.hamiltonian(), basis)
+    _WORKER_CTX["z_true"] = z_true
     _WORKER_CTX["tables"] = exact_tables
 
 
@@ -325,16 +325,8 @@ def _sweep_job(job: Tuple[int, int, int]) -> dict:
     exact = _WORKER_CTX["tables"][temperature]
     seed_seq = np.random.SeedSequence((cfg.seed, sigma_idx, temp_idx, run_idx))
     start = time.perf_counter()
-    record = {
-        "sigma_noise": sigma,
-        "temperature": temperature,
-        "run": run_idx,
-        "theta": "",
-        "temp_ratio": "",
-        "mu_star": "",
-        "verdict": "",
-        "q": "",
-    }
+    record = dict.fromkeys(SWEEP_COLUMNS, "")
+    record.update(sigma_noise=sigma, temperature=temperature, run=run_idx)
     try:
         noisy = add_noise(exact, sigma, seed_seq)
         result = reconstruct(noisy, _WORKER_CTX["assembler"], _WORKER_CTX["opts"])
@@ -357,12 +349,14 @@ def run_sweep(cfg: ExperimentConfig) -> Tuple[List[dict], List[dict]]:
 
     Per-run noise seeds derive from (master seed, sigma index, temperature
     index, run index), so records are independent of worker scheduling.
+    A truth term outside the k_local basis is a ConfigError before any run.
     """
     cfg.validate()
     h_true = cfg.hamiltonian()
     basis, h_terms = _string_basis(cfg.n, cfg.k_local)
-    needed = states.required_strings(basis, h_terms)
-    exact_tables = {t: build_table(gibbs_density(h_true, t), needed) for t in cfg.temperatures}
+    z_true = _truth_vector(h_true, basis, cfg.k_local)
+    exact_tables = _exact_tables(h_true, cfg.temperatures, basis, h_terms)
+    context = (cfg, basis, h_terms, z_true, exact_tables)
 
     jobs = [
         (si, ti, run)
@@ -372,13 +366,11 @@ def run_sweep(cfg: ExperimentConfig) -> Tuple[List[dict], List[dict]]:
     ]
     if cfg.workers > 1:
         with ProcessPoolExecutor(
-            max_workers=cfg.workers,
-            initializer=_worker_init,
-            initargs=(cfg, exact_tables),
+            max_workers=cfg.workers, initializer=_worker_init, initargs=context
         ) as pool:
             records = list(pool.map(_sweep_job, jobs, chunksize=4))
     else:
-        _worker_init(cfg, exact_tables)
+        _worker_init(*context)
         records = [_sweep_job(job) for job in jobs]
 
     records.sort(key=lambda rec: (rec["sigma_noise"], rec["temperature"], rec["run"]))
@@ -411,28 +403,23 @@ def _aggregate(records: List[dict]) -> List[dict]:
 
 
 def write_sweep_csv(records: List[dict], aggregates: List[dict], out_dir):
+    """Write records.csv and aggregate.csv, each with its rows' keys as the header."""
     os.makedirs(out_dir, exist_ok=True)
-    records_path = os.path.join(out_dir, "records.csv")
-    with open(records_path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=SWEEP_COLUMNS)
-        writer.writeheader()
-        for rec in records:
-            writer.writerow({k: rec.get(k, "") for k in SWEEP_COLUMNS})
-    aggregate_path = os.path.join(out_dir, "aggregate.csv")
-    with open(aggregate_path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=AGGREGATE_COLUMNS)
-        writer.writeheader()
-        for row in aggregates:
-            writer.writerow(row)
-    return records_path, aggregate_path
+    paths = []
+    for name, rows in (("records.csv", records), ("aggregate.csv", aggregates)):
+        paths.append(os.path.join(out_dir, name))
+        with open(paths[-1], "w", newline="") as handle:
+            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+    return tuple(paths)
 
 
 def cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
-    records, aggregates = run_sweep(cfg)
-    records_path, aggregate_path = write_sweep_csv(records, aggregates, args.out_dir)
-    print(records_path)
-    print(aggregate_path)
+    os.makedirs(args.out_dir, exist_ok=True)
+    for path in write_sweep_csv(*run_sweep(cfg), args.out_dir):
+        print(path)
     return 0
 
 
@@ -510,7 +497,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 4
-    except GibbsLearnError as exc:
+    except (GibbsLearnError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
 

@@ -27,7 +27,7 @@ _PHASE_TABLE = np.array(pauli.PHASES)
 
 @dataclass
 class DensityMatrix:
-    """A validated density matrix with an optional eigendecomposition cache."""
+    """A density matrix; ``eigensystem()`` fills the eigendecomposition cache on first use."""
 
     n: int
     matrix: np.ndarray
@@ -67,8 +67,9 @@ def gibbs_density(h: PauliOperator, temperature: float) -> DensityMatrix:
 
     The largest eigenvalue of -h/T is subtracted before exponentiating, so
     the construction cannot overflow.  A real h matrix (no string with an odd
-    number of Y letters) is diagonalized as a real symmetric one; rho and the
-    cached eigenvectors are complex either way.
+    number of Y letters) is diagonalized as a real symmetric one; rho is
+    complex either way.  The eigensystem cache is left empty: the tables read
+    only rho, and ``eigensystem()`` diagonalizes rho when a caller asks.
     """
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
@@ -86,11 +87,7 @@ def gibbs_density(h: PauliOperator, temperature: float) -> DensityMatrix:
     weights = np.exp(exponent)
     weights /= weights.sum()
     rho = (evecs * weights) @ evecs.conj().T
-    out = DensityMatrix(h.n, rho.astype(complex, copy=False))
-    order = np.argsort(weights)
-    out.eigenvalues = weights[order]
-    out.eigenvectors = evecs[:, order].astype(complex, copy=False)
-    return out
+    return DensityMatrix(h.n, rho.astype(complex, copy=False))
 
 
 def expectation(rho: DensityMatrix, p: PauliString) -> float:

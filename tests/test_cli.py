@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gibbslearn import cli
 from gibbslearn.cli import (
     ExperimentConfig,
     _config_from_args,
@@ -427,6 +428,29 @@ class TestTruthFile:
         )
         assert err == "error: DimensionMismatch: truth file on 5 sites, table on 4"
 
+    def test_term_outside_basis(self, tmp_path, capsys):
+        # an XX chain in a Z field keeps the total Z, a 1-local direction, so at
+        # --k-local 1 the run reaches a verdict with coefficients; the truth's
+        # 2-local terms have none on that basis, which is refused before the run
+        terms = [f"-1.0 {a}{i} {a}{i + 1}" for i in range(3) for a in "XY"]
+        terms += [f"0.4 Z{i}" for i in range(4)]
+        config = tmp_path / "exp.ini"
+        config.write_text(
+            "[experiment]\nn = 4\nmodel = custom\ntemperatures = 1\n[terms]\n"
+            + "".join(f"t{j} = {term}\n" for j, term in enumerate(terms))
+        )
+        out = tmp_path / "tables"
+        assert main(["gen", "--config", str(config), "--out", str(out)]) == 0
+        capsys.readouterr()
+        argv = ["--table", str(out / "table_T1p0.tsv"), "--truth", str(out / "truth_T1p0.txt")]
+        assert main(["learn", *argv, "--k-local", "1"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "config error: truth Hamiltonian: operator term X0 X1 outside the basis of "
+            "1-local strings"
+        ]
+
 
 def test_gen_and_learn_build_no_table_row_as_object(tmp_path, monkeypatch):
     # the table's strings stay uint64 masks from the closure to the file and
@@ -498,6 +522,37 @@ class TestSweep:
             for r in records
         )
         assert aggregates[0]["runs"] == 2
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_truth_outside_basis(self, tmp_path, capsys, workers):
+        # the XXZ chain's bonds have no coefficients on 1-local strings
+        argv = ["--n", "4", "--k-local", "1", "--workers", workers, "--out-dir", str(tmp_path)]
+        assert main(["sweep", *argv]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: truth Hamiltonian: operator term X0 X1 outside the basis of "
+            "1-local strings"
+        ]
+
+
+@pytest.mark.parametrize("command", ["gen", "sweep", "learn"])
+def test_output_path_error_is_one_line(tables_n4_n5, tmp_path, capsys, monkeypatch, command):
+    taken = tmp_path / "file"
+    taken.write_text("")
+    argv, error = {
+        "gen": (["gen", "--n", "3", "--out", str(taken)], "FileExistsError"),
+        "sweep": (["sweep", "--n", "3", "--out-dir", str(taken)], "FileExistsError"),
+        "learn": (
+            ["learn", "--table", str(tables_n4_n5 / "n4" / "table_T1p0.tsv"),
+             "--out", str(tmp_path / "missing" / "r.txt")],
+            "FileNotFoundError",
+        ),
+    }[command]
+    if command == "sweep":
+        # the output directory is made before the first reconstruction
+        monkeypatch.setattr(cli, "reconstruct", None)
+    assert main(argv) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {error}: ")
 
 
 class TestVerifyCommand:

@@ -84,8 +84,8 @@ class TestGibbsDensity:
 
     def test_real_hamiltonian_keeps_complex_dtypes(self):
         rho = gibbs_density(xxz_chain(4), 2.0)
-        assert rho.matrix.dtype == rho.eigenvectors.dtype == np.complex128
         evals, evecs = rho.eigensystem()
+        assert rho.matrix.dtype == evecs.dtype == np.complex128
         assert np.all(np.diff(evals) >= 0)
         rebuilt = (evecs * evals) @ evecs.conj().T
         assert np.abs(rebuilt - rho.matrix).max() < 1e-14
