@@ -1,9 +1,10 @@
 """Exact desk-scale Gibbs states, expectation tables and the noise model.
 
-States are prepared by dense Hermitian diagonalization, which also yields
-log(rho) for free.  Expectation tables are the algorithm's only window onto
-the state: Pauli strings, as bit masks, and their values, optionally
-corrupted by independent Gaussian noise of a given standard deviation.
+States are prepared by diagonalizing the dense Hamiltonian matrix one
+sector, a connected block of the matrix, at a time.  Expectation tables are
+the algorithm's only window onto the state: Pauli strings, as bit masks, and
+their values, optionally corrupted by independent Gaussian noise of a given
+standard deviation.
 """
 
 from __future__ import annotations
@@ -62,32 +63,62 @@ class DensityMatrix:
         return (evecs * np.log(evals)) @ evecs.conj().T
 
 
-def gibbs_density(h: PauliOperator, temperature: float) -> DensityMatrix:
-    """rho = exp(-h/T) / tr(exp(-h/T)) by dense Hermitian diagonalization.
+def _sectors(m: np.ndarray) -> List[np.ndarray]:
+    """The connected components of the nonzero pattern of the square matrix m, as index arrays.
 
-    The largest eigenvalue of -h/T is subtracted before exponentiating, so
-    the construction cannot overflow.  A real h matrix (no string with an odd
-    number of Y letters) is diagonalized as a real symmetric one; rho is
-    complex either way.  The eigensystem cache is left empty: the tables read
-    only rho, and ``eigensystem()`` diagonalizes rho when a caller asks.
+    Each array lists one component's indices in ascending order.  Every index
+    starts with its own label and takes the least label among its neighbours;
+    pointer jumping (label <- label[label]) lets a label cross a long
+    component in a few rounds.
     """
-    if temperature <= 0:
+    rows, cols = np.nonzero(m)
+    label = np.arange(len(m))
+    while True:
+        least = label.copy()
+        np.minimum.at(least, rows, label[cols])
+        least = least[least]
+        if (least == label).all():
+            break
+        label = least
+    order = np.argsort(label, kind="stable")
+    _, starts = np.unique(label[order], return_index=True)
+    return np.split(order, starts[1:])
+
+
+def gibbs_density(h: PauliOperator, temperature: float) -> DensityMatrix:
+    """rho = exp(-h/T) / tr(exp(-h/T)), diagonalizing h one sector at a time.
+
+    The sectors are the connected components of the nonzero pattern of h's
+    matrix (``_sectors``): the magnetization sectors of a chain that conserves
+    the total Z, one sector for a generic chain.  The least energy of all
+    sectors is subtracted before exponentiating, so the construction cannot
+    overflow.  A real h matrix (no string with an odd number of Y letters) is
+    diagonalized as a real symmetric one; rho is complex either way.  The
+    eigensystem cache is left empty: the tables read only rho, and
+    ``eigensystem()`` diagonalizes rho when a caller asks.
+    """
+    if not temperature > 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     if not h.is_selfadjoint():
         raise ValueError("Hamiltonian must be selfadjoint (real coefficients)")
     import scipy.linalg
 
     hmat = pauli.dense_matrix(h)
-    if hmat.imag.any():
-        energies, evecs = scipy.linalg.eigh(hmat)
-    else:
-        energies, evecs = scipy.linalg.eigh(hmat.real, driver="evd")
-    exponent = -energies / temperature
-    exponent -= exponent.max()
-    weights = np.exp(exponent)
-    weights /= weights.sum()
-    rho = (evecs * weights) @ evecs.conj().T
-    return DensityMatrix(h.n, rho.astype(complex, copy=False))
+    # evd is the faster driver for real blocks, scipy's default (evr) for complex ones
+    driver = None if hmat.imag.any() else "evd"
+    if driver:
+        hmat = hmat.real
+    solved = [
+        (idx, *scipy.linalg.eigh(hmat[np.ix_(idx, idx)], driver=driver)) for idx in _sectors(hmat)
+    ]
+    del hmat  # free the 2^n x 2^n h matrix before rho is allocated
+    least = min(energies[0] for _, energies, _ in solved)
+    weights = [np.exp((least - energies) / temperature) for _, energies, _ in solved]
+    total = sum(w.sum() for w in weights)
+    rho = np.zeros((1 << h.n, 1 << h.n), dtype=complex)
+    for (idx, _, evecs), w in zip(solved, weights):
+        rho[np.ix_(idx, idx)] = (evecs * (w / total)) @ evecs.conj().T
+    return DensityMatrix(h.n, rho)
 
 
 def expectation(rho: DensityMatrix, p: PauliString) -> float:

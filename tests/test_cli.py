@@ -278,6 +278,20 @@ class TestGenLearn:
         assert "recovery angle" in captured.out
         assert result_path.exists()
 
+    def test_gen_learn_n10(self, tmp_path, capsys):
+        # n=10 XXZ, the size of the benchmark's learn workload
+        sigma = 1e-8
+        out = tmp_path / "tables"
+        argv = ["gen", "--n", "10", "--temperatures", "1", "--sigma", str(sigma), "--out", str(out)]
+        assert main(argv) == 0
+        record = tmp_path / "result.txt"
+        rc = main(["learn", "--table", str(out / "table_T1p0.tsv"),
+                   "--truth", str(out / "truth_T1p0.txt"), "--out", str(record)])
+        assert rc == 0
+        assert "verdict = Candidate\n" in record.read_text()
+        theta = float(re.search(r"recovery angle theta = (\S+)", capsys.readouterr().out)[1])
+        assert theta <= 1e-6 + 200 * sigma
+
     def test_truth_file_needs_n_and_temperature(self, tmp_path):
         path = tmp_path / "truth.txt"
         path.write_text("# n = 2\n-1.0\tX0 X1\n")

@@ -1,10 +1,13 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from gibbslearn import states
 from gibbslearn.errors import BadTable, IncompleteData
-from gibbslearn.models import string_basis_operators, xxz_chain
+from gibbslearn.models import random_k_local_hamiltonian, string_basis_operators, xxz_chain
 from gibbslearn.moments import MomentAssembler
 from gibbslearn.pauli import (
     PauliOperator,
@@ -73,14 +76,55 @@ class TestGibbsDensity:
         assert np.abs(rho.matrix - ref).max() < 1e-12
 
     def test_odd_y_term_against_expm_oracle(self):
-        # X0 Y1 - Y0 X1 has an imaginary matrix, so h is diagonalized complex
-        h = xxz_chain(3) + PauliOperator.from_terms(3, [(0.6, "X0 Y1"), (-0.6, "Y0 X1")])
-        assert np.abs(dense_matrix(h).imag).max() > 0
-        rho = gibbs_density(h, 1.5)
-        ref = scipy.linalg.expm(-kron_operator(h) / 1.5)
+        # X0 Y1 - Y0 X1 has an imaginary matrix, so h is diagonalized complex;
+        # it conserves the total Z, so h splits into n + 1 sectors
+        for n in (3, 5):
+            h = xxz_chain(n) + PauliOperator.from_terms(n, [(0.6, "X0 Y1"), (-0.6, "Y0 X1")])
+            assert np.abs(dense_matrix(h).imag).max() > 0
+            assert len(states._sectors(dense_matrix(h))) == n + 1
+            rho = gibbs_density(h, 1.5)
+            ref = scipy.linalg.expm(-kron_operator(h) / 1.5)
+            ref /= np.trace(ref)
+            assert np.abs(rho.matrix - ref).max() < 1e-12
+            assert np.abs(rho.matrix.imag).max() > 1e-3
+
+    def test_diagonal_hamiltonian_boltzmann_weights(self):
+        # Z fields and a Z0 Z2 coupling: rho is diag(exp(-E/T)) / Z over the 2^n spin configurations
+        fields, coupling, t = [0.7, -0.3, 1.1, 0.2], -0.9, 0.8
+        terms = [(f, f"Z{k}") for k, f in enumerate(fields)] + [(coupling, "Z0 Z2")]
+        rho = gibbs_density(PauliOperator.from_terms(4, terms), t)
+        # kron order: site 0 is the most significant index bit, |0> has Z = +1
+        energies = np.array([
+            np.dot(fields, spins) + coupling * spins[0] * spins[2]
+            for spins in itertools.product((1, -1), repeat=4)
+        ])
+        weights = np.exp(-energies / t)
+        assert np.abs(rho.matrix - np.diag(weights / weights.sum())).max() < 1e-15
+
+    @pytest.mark.parametrize("t", [0.05, 2e-4])
+    def test_low_temperature_against_shifted_expm(self, t):
+        # Energies are shifted by the global ground energy; at T=2e-4 every
+        # sector but the ground state's (three up spins) underflows to zero.
+        h = xxz_chain(6)
+        dense = kron_operator(h)
+        ground = scipy.linalg.eigvalsh(dense)[0]
+        ref = scipy.linalg.expm(-(dense - ground * np.eye(64)) / t)
         ref /= np.trace(ref)
-        assert np.abs(rho.matrix - ref).max() < 1e-12
-        assert np.abs(rho.matrix.imag).max() > 1e-3
+        rho = gibbs_density(h, t).matrix
+        assert not np.isnan(rho).any()
+        assert abs(np.trace(rho) - 1.0) < 1e-13
+        assert np.abs(rho - ref).max() < 1e-13
+        if t < 1e-3:
+            ups = np.bitwise_count(np.arange(64))
+            assert (rho[ups != 3] == 0).all()
+
+    def test_sectors_against_dense_eigh(self):
+        # one dense diagonalization of the whole chain as the reference
+        h, t = xxz_chain(8), 1.3
+        energies, evecs = scipy.linalg.eigh(kron_operator(h))
+        weights = np.exp(-(energies - energies[0]) / t)
+        ref = (evecs * (weights / weights.sum())) @ evecs.conj().T
+        assert np.abs(gibbs_density(h, t).matrix - ref).max() < 1e-14
 
     def test_real_hamiltonian_keeps_complex_dtypes(self):
         rho = gibbs_density(xxz_chain(4), 2.0)
@@ -100,8 +144,9 @@ class TestGibbsDensity:
         h = PauliOperator.from_terms(1, [(1j, "X0")])
         with pytest.raises(ValueError):
             gibbs_density(h, 1.0)
-        with pytest.raises(ValueError):
-            gibbs_density(xxz_chain(2), -1.0)
+        for temperature in (-1.0, 0.0, float("nan")):
+            with pytest.raises(ValueError, match="temperature must be positive"):
+                gibbs_density(xxz_chain(2), temperature)
 
     def test_scaling_gauge(self, rng):
         # (c*h, c*T) prepares the same state
@@ -139,6 +184,31 @@ class TestGibbsDensity:
                     continue
                 cand /= np.trace(cand).real
                 assert free_energy(cand) >= base - 1e-12
+
+
+class TestSectors:
+    def test_xxz_magnetization_sectors(self):
+        sectors = states._sectors(dense_matrix(xxz_chain(6)))
+        assert sorted(map(len, sectors)) == sorted(math.comb(6, k) for k in range(7))
+        for idx in sectors:
+            ups = np.bitwise_count(idx)
+            assert (ups == ups[0]).all()  # each sector holds one magnetization
+            assert (np.diff(idx) > 0).all()
+
+    def test_generic_chain_is_one_sector(self):
+        h, _, _ = random_k_local_hamiltonian(6, 2, np.random.default_rng(3))
+        sectors = states._sectors(dense_matrix(h))
+        assert len(sectors) == 1
+        assert (sectors[0] == np.arange(64)).all()
+
+    @pytest.mark.parametrize(
+        "h",
+        [PauliOperator.zero(6), PauliOperator.from_terms(6, [(0.4, "Z0"), (-1.0, "Z2 Z5")])],
+        ids=["zero", "z-only"],
+    )
+    def test_diagonal_operator_has_one_state_sectors(self, h):
+        sectors = states._sectors(dense_matrix(h))
+        assert [idx.tolist() for idx in sectors] == [[i] for i in range(64)]
 
 
 class TestExpectation:
