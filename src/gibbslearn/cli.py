@@ -119,6 +119,8 @@ class ExperimentConfig:
             repeated = [value for i, value in enumerate(grid) if value in grid[:i]]
             if repeated:
                 raise ConfigError(f"[experiment] {key}: {repeated[0]!r} is listed twice")
+        if self.seed < 0:
+            raise ConfigError(f"[experiment] seed = {self.seed}: must be nonnegative")
         if self.runs_per_point < 1:
             raise ConfigError("[experiment] runs_per_point: must be at least 1")
         if self.workers < 1:
@@ -428,7 +430,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        gns.check_battery_size(args.n, args.instances)
+        gns.check_battery_args(args.n, args.instances, args.seed)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2

@@ -26,6 +26,7 @@ _RANKED_CODES = (0, 1, 3, 2)  # the codes of I < X < Y < Z, the canonical letter
 
 DEFAULT_DENSE_LIMIT = 12
 _DENSE_LIMIT_ENV = "GIBBSLEARN_DENSE_LIMIT"
+EXPAND_TOL = 1e-14  # dense_to_operator drops coefficients at or below this
 
 
 def dense_limit() -> int:
@@ -198,8 +199,8 @@ class PauliOperator:
     def adjoint(self) -> "PauliOperator":
         return PauliOperator(self.n, {s: c.conjugate() for s, c in self.terms.items()})
 
-    def is_selfadjoint(self, tol: float = 0.0) -> bool:
-        return all(abs(c.imag) <= tol for c in self.terms.values())
+    def is_selfadjoint(self) -> bool:
+        return all(c.imag == 0 for c in self.terms.values())
 
     def coefficient(self, string: PauliString) -> complex:
         return self.terms.get(string, 0j)
@@ -408,13 +409,13 @@ def dense_matrix(op: PauliOperator) -> np.ndarray:
     return out
 
 
-def dense_to_operator(matrix: np.ndarray, n: int, tol: float = 1e-12) -> PauliOperator:
-    """Expand a dense matrix in the Pauli basis, dropping coefficients below tol."""
+def dense_to_operator(matrix: np.ndarray, n: int) -> PauliOperator:
+    """Expand a dense matrix in the Pauli basis, dropping coefficients at or below EXPAND_TOL."""
     _check_dense(n)
     terms = {}
     for string in all_strings(n):
         coeff = np.trace(string_dense(string) @ matrix) / (1 << n)
-        if abs(coeff) > tol:
+        if abs(coeff) > EXPAND_TOL:
             terms[string] = coeff
     return PauliOperator(n, terms)
 

@@ -28,12 +28,10 @@ _PHASE_TABLE = np.array(pauli.PHASES)
 
 @dataclass
 class DensityMatrix:
-    """A density matrix; ``eigensystem()`` fills the eigendecomposition cache on first use."""
+    """A density matrix on n sites."""
 
     n: int
     matrix: np.ndarray
-    eigenvalues: Optional[np.ndarray] = None
-    eigenvectors: Optional[np.ndarray] = None
 
     @classmethod
     def from_matrix(cls, n: int, matrix: np.ndarray) -> "DensityMatrix":
@@ -46,21 +44,6 @@ class DensityMatrix:
         if abs(np.trace(matrix).real - 1.0) > TRACE_TOL or abs(np.trace(matrix).imag) > TRACE_TOL:
             raise ValueError("density matrix does not have unit trace")
         return cls(n, matrix)
-
-    def eigensystem(self) -> Tuple[np.ndarray, np.ndarray]:
-        if self.eigenvalues is None:
-            import scipy.linalg
-
-            evals, evecs = scipy.linalg.eigh(self.matrix)
-            self.eigenvalues, self.eigenvectors = evals, evecs
-        return self.eigenvalues, self.eigenvectors
-
-    def log_matrix(self) -> np.ndarray:
-        """log(rho); requires a faithful (strictly positive) state."""
-        evals, evecs = self.eigensystem()
-        if evals.min() <= 0:
-            raise ValueError("state is not faithful; log(rho) undefined")
-        return (evecs * np.log(evals)) @ evecs.conj().T
 
 
 def _sectors(m: np.ndarray) -> List[np.ndarray]:
@@ -93,9 +76,7 @@ def gibbs_density(h: PauliOperator, temperature: float) -> DensityMatrix:
     the total Z, one sector for a generic chain.  The least energy of all
     sectors is subtracted before exponentiating, so the construction cannot
     overflow.  A real h matrix (no string with an odd number of Y letters) is
-    diagonalized as a real symmetric one; rho is complex either way.  The
-    eigensystem cache is left empty: the tables read only rho, and
-    ``eigensystem()`` diagonalizes rho when a caller asks.
+    diagonalized as a real symmetric one; rho is complex either way.
     """
     if not temperature > 0:
         raise ValueError(f"temperature must be positive, got {temperature}")

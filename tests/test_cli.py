@@ -89,6 +89,9 @@ class TestConfig:
         cfg = ExperimentConfig(n=3, sigma_grid=[0.0, 1e-6, -0.0])
         with pytest.raises(ConfigError, match=r"sigma_grid: -0\.0 is listed twice"):
             cfg.validate()
+        cfg = ExperimentConfig(n=3, seed=-1)
+        with pytest.raises(ConfigError, match="seed = -1: must be nonnegative"):
+            cfg.validate()
 
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "exp.ini"
@@ -175,6 +178,9 @@ class TestConfig:
             ["gen", "--temperatures", "1,1"],
             ["sweep", "--temperatures", "1,2,1.0"],
             ["sweep", "--sigma-grid", "1e-6,1e-6"],
+            ["gen", "--seed", "-1"],
+            ["gen", "--seed", "-1", "--sigma", "1e-6"],
+            ["sweep", "--seed", "-1"],
         ],
     )
     def test_bad_flag_value_is_config_error(self, tmp_path, capsys, argv):
@@ -584,6 +590,7 @@ class TestVerifyCommand:
             (["--n", "0"], "1 <= n <= 4, not n=0"),
             (["--n", "-1"], "1 <= n <= 4, not n=-1"),
             (["--instances", "0"], "at least one instance, not 0"),
+            (["--seed", "-1"], "nonnegative seed, not -1"),
         ):
             rc = main(["verify", *argv])
             captured = capsys.readouterr()

@@ -73,7 +73,7 @@ class TestGnsSpace:
     def test_conjugation_matches_definition(self, rng):
         rho = gibbs_density(xxz_chain(2), 0.9)
         space = build_gns(rho)
-        evals, evecs = rho.eigensystem()
+        evals, evecs = scipy.linalg.eigh(rho.matrix)
         sqrt_rho = (evecs * np.sqrt(evals)) @ evecs.conj().T
         inv_sqrt_rho = (evecs / np.sqrt(evals)) @ evecs.conj().T
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -171,7 +171,7 @@ class TestFreeEnergyDerivative:
                  PauliOperator.from_terms(2, [(1.0, "Z0 Z1")])]
         raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         spec = LindbladSpec(b_ops, 0.5 * (raw - raw.conj().T), raw @ raw.conj().T)
-        value = free_energy_derivative(rho, h, t, spec)
+        value = free_energy_derivative(build_gns(rho), h, t, spec)
         assert abs(value) < 1e-9
 
     def test_matches_finite_difference(self, rng):
@@ -182,7 +182,7 @@ class TestFreeEnergyDerivative:
         raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         spec = LindbladSpec(b_ops, 0.5 * (raw - raw.conj().T), raw @ raw.conj().T / 4.0)
         t = 0.9
-        analytic = free_energy_derivative(rho, h, t, spec)
+        analytic = free_energy_derivative(build_gns(rho), h, t, spec)
         h_mat = dense_matrix(h)
         step = 1e-5
         fd = (
@@ -212,24 +212,24 @@ class TestStabilityChecks:
         h = xxz_chain(2)
         t = 1.0
         rho = gibbs_density(h, t)
-        ok, min_eig = check_rts(rho, h, t, all_strings(2))
+        ok, min_eig = check_rts(build_gns(rho), h, t, all_strings(2))
         assert ok and abs(min_eig) < 1e-9
 
     def test_temperature_mismatch_detected_at_full_span(self):
         h = xxz_chain(2)
         rho = gibbs_density(h, 1.0)
-        ok, min_eig = check_rts(rho, h, 2.0, all_strings(2))
+        ok, min_eig = check_rts(build_gns(rho), h, 2.0, all_strings(2))
         assert not ok and min_eig < -1e-3
 
     def test_rts_span_invariance(self, rng):
         h = xxz_chain(2)
-        rho = gibbs_density(h, 1.0)
+        space = build_gns(gibbs_density(h, 1.0))
         strings = all_strings(2, include_identity=False)[:6]
         base = [dense_matrix(PauliOperator.from_string(s)) for s in strings]
         mix = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         mixed = [sum(mix[i, k] * base[k] for k in range(6)) for i in range(6)]
-        ok1, e1 = check_rts(rho, h, 1.7, base)
-        ok2, e2 = check_rts(rho, h, 1.7, mixed)
+        ok1, e1 = check_rts(space, h, 1.7, base)
+        ok2, e2 = check_rts(space, h, 1.7, mixed)
         assert ok1 == ok2
         assert abs(e1 - e2) < 1e-8
 
@@ -239,33 +239,32 @@ class TestStabilityChecks:
         # the projection is proper
         h = xxz_chain(2)
         t = 1.3
-        rho = gibbs_density(h, t)
-        space = build_gns(rho)
+        space = build_gns(gibbs_density(h, t))
         evals, evecs = scipy.linalg.eigh(0.5 * (space.delta + space.delta.conj().T))
         picks = [1, 4, 9, 12]
         b_ops = [space.operator_of(evecs[:, i]) for i in picks]
-        lhs_min, rhs_min, gap_ok = check_matrix_eeb(rho, h, t, b_ops)
+        lhs_min, rhs_min, gap_ok = check_matrix_eeb(space, h, t, b_ops)
         assert gap_ok
         assert abs(lhs_min - rhs_min) < 1e-8
 
     def test_jensen_gap_psd_on_restricted_span(self, rng):
         h = xxz_chain(3)
-        rho = gibbs_density(h, 1.0)
+        space = build_gns(gibbs_density(h, 1.0))
         strings = all_strings(3, include_identity=False)
         picks = rng.choice(len(strings), size=5, replace=False)
         b_ops = [strings[i] for i in picks]
-        lhs_min, rhs_min, gap_ok = check_matrix_eeb(rho, h, 1.0, b_ops)
+        lhs_min, rhs_min, gap_ok = check_matrix_eeb(space, h, 1.0, b_ops)
         assert gap_ok
         assert lhs_min >= -1e-9  # RTS pair keeps both forms nonnegative
 
     def test_quasisymmetry_cases(self):
         h_z = PauliOperator.from_terms(1, [(-1.0, "Z0")])
-        rho = gibbs_density(h_z, 1.0)
+        space = build_gns(gibbs_density(h_z, 1.0))
         # a symmetry is a quasi-symmetry for any span
-        assert check_quasisymmetry(rho, h_z, [PauliString.from_text("X0", 1)])
+        assert check_quasisymmetry(space, h_z, [PauliString.from_text("X0", 1)])
         # a non-commuting observable is caught on the full span
         h_x = PauliOperator.from_terms(1, [(1.0, "X0")])
-        assert not check_quasisymmetry(rho, h_x, all_strings(1))
+        assert not check_quasisymmetry(space, h_x, all_strings(1))
 
 
 class TestBattery:
@@ -280,3 +279,24 @@ class TestBattery:
         results = run_battery(n_max=2, seed=3, instances=6)
         for check in results:
             assert check.passed, check.line()
+
+    def test_check_list_is_pinned(self):
+        # a simplification may not drop a check or loosen its tolerance
+        results = run_battery(n_max=2, seed=3, instances=6)
+        assert [(c.name, c.tolerance, c.instances) for c in results] == [
+            ("representations_commute", 1e-9, 6),
+            ("delta_sesquilinear_form", 1e-9, 6),
+            ("log_delta_expression", 1e-9, 6),
+            ("j_involution", 1e-9, 6),
+            ("j_flips_commuting_hamiltonian", 1e-9, 6),
+            ("spectrum_symmetry", 1e-9, 6),
+            ("energy_rate_identity", 1e-9, 6),
+            ("entropy_rate_finite_difference", 1e-5, 6),
+            ("free_energy_derivative_finite_difference", 1e-5, 6),
+            ("jensen_gap_psd", 0.5, 6),
+            ("jensen_equality_full_span", 1e-8, 6),
+            ("quasisymmetry_symmetric_case", 0.5, 6),
+            ("quasisymmetry_dual_agreement", 0.5, 6),
+            ("rts_gibbs_pair", 0.5, 6),
+            ("rts_temperature_mismatch", 0.5, 6),
+        ]

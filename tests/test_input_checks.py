@@ -69,7 +69,6 @@ CHECKS = {
         ValueError,
         "unit trace",
     ),
-    "log-not-faithful": (lambda: _pure_state().log_matrix(), ValueError, "not faithful"),
     "expectation-other-n": (
         lambda: expectation(_pure_state(), PauliString(2, z=1)),
         DimensionMismatch,

@@ -128,7 +128,7 @@ class TestGibbsDensity:
 
     def test_real_hamiltonian_keeps_complex_dtypes(self):
         rho = gibbs_density(xxz_chain(4), 2.0)
-        evals, evecs = rho.eigensystem()
+        evals, evecs = scipy.linalg.eigh(rho.matrix)
         assert rho.matrix.dtype == evecs.dtype == np.complex128
         assert np.all(np.diff(evals) >= 0)
         rebuilt = (evecs * evals) @ evecs.conj().T
