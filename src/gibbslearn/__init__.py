@@ -57,7 +57,6 @@ from .sdp import (
     solve,
 )
 from .states import (
-    DensityMatrix,
     ExpectationTable,
     add_noise,
     build_table,

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
-from . import gns, models, states
+from . import gns, models, pauli, states
 from .errors import (
     ConfigError,
     DeltaNotPositive,
@@ -131,6 +131,11 @@ class ExperimentConfig:
             raise ConfigError("[terms] empty: custom model needs at least one term")
         if self.model == "xxz" and self.custom_terms:
             raise ConfigError("[terms] given without model = custom")
+        for _, text in self.custom_terms:
+            try:
+                pauli.parse_texts([text], self.n)
+            except ValueError as exc:
+                raise ConfigError(f"[terms] {text!r}: {exc}") from exc
 
     def hamiltonian(self) -> PauliOperator:
         if self.model == "xxz":

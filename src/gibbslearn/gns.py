@@ -11,7 +11,8 @@ tr(A^dag B) = vec(A)^dag vec(B).  The state's inner product <a|b> = omega(a*b)
 then reads vec(a)^dag K vec(b) with K = I kron rho^T, and K^{1/2} maps vec
 coordinates to an orthonormal basis of the GNS space.  Every function of
 the state a space needs (rho^{1/2}, rho^{-1/2}, rho^{-1}, log rho and their
-transposes) comes from one eigendecomposition of rho.
+transposes) comes from one eigendecomposition of rho.  States, operators and
+the Heisenberg generator's output are plain dense matrices.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from . import pauli
 from .errors import DenseLimitExceeded
 from .models import random_k_local_hamiltonian
 from .pauli import PauliOperator, PauliString
-from .states import DensityMatrix, gibbs_density
+from .states import gibbs_density, n_sites
 
 FAITHFUL_TOL = 1e-13
 GNS_SITE_LIMIT = 4
@@ -59,11 +60,10 @@ class GnsSpace:
 
     n: int
     dim: int
-    gram: np.ndarray  # Gram of the canonical Pauli basis under <a|b> = omega(a*b)
     delta: np.ndarray
     log_delta: np.ndarray
     j_matrix: np.ndarray  # antilinear action: J v = j_matrix @ conj(v)
-    rho: DensityMatrix
+    rho: np.ndarray
     _khalf: np.ndarray
     _kinvhalf: np.ndarray
 
@@ -106,12 +106,12 @@ class GnsSpace:
         return q[:, keep].conj().T
 
 
-def build_gns(rho: DensityMatrix) -> GnsSpace:
-    """Materialize the GNS space of a faithful state (n <= 4)."""
-    n = rho.n
+def build_gns(rho: np.ndarray) -> GnsSpace:
+    """Materialize the GNS space of a faithful state, a 2^n x 2^n matrix (n <= 4)."""
+    n = n_sites(rho)
     if n > GNS_SITE_LIMIT:
         raise DenseLimitExceeded(f"GNS construction limited to n <= {GNS_SITE_LIMIT}")
-    evals, evecs = scipy.linalg.eigh(rho.matrix)
+    evals, evecs = scipy.linalg.eigh(rho)
     if evals.min() <= FAITHFUL_TOL * evals.max():
         raise ValueError("state is not faithful; GNS inner product degenerate")
 
@@ -128,7 +128,6 @@ def build_gns(rho: DensityMatrix) -> GnsSpace:
     space = GnsSpace(
         n=n,
         dim=side * side,
-        gram=np.empty(0),
         delta=np.empty(0),
         log_delta=np.empty(0),
         j_matrix=np.empty(0),
@@ -137,7 +136,7 @@ def build_gns(rho: DensityMatrix) -> GnsSpace:
         _kinvhalf=kinvhalf,
     )
 
-    space.delta = space.left_rep(rho.matrix) @ space.right_rep(of_rho(1.0 / evals))
+    space.delta = space.left_rep(rho) @ space.right_rep(of_rho(1.0 / evals))
     log_rho = of_rho(np.log(evals))
     space.log_delta = space.left_rep(log_rho) - space.right_rep(log_rho)
 
@@ -145,10 +144,6 @@ def build_gns(rho: DensityMatrix) -> GnsSpace:
     # |a> -> |rho^{1/2} a^dag rho^{-1/2}>.
     swap = _swap_permutation(side)
     space.j_matrix = khalf @ np.kron(sqrt_rho, inv_sqrt_rho.T) @ swap @ kinvhalf.conj()
-
-    basis = pauli.all_strings(n)
-    vectors = np.column_stack([space.vector(p) for p in basis])
-    space.gram = vectors.conj().T @ vectors
     return space
 
 
@@ -180,8 +175,8 @@ class LindbladSpec:
             raise ValueError("dissipation matrix must be positive semidefinite")
 
 
-def lindblad_apply(spec: LindbladSpec, a: OperatorLike, n: int) -> PauliOperator:
-    """Heisenberg-picture generator applied to an observable, dense-backed."""
+def lindblad_apply(spec: LindbladSpec, a: OperatorLike) -> np.ndarray:
+    """The dense matrix of the Heisenberg-picture generator applied to an observable."""
     amat = _as_matrix(a)
     bs = [_as_matrix(b) for b in spec.b_ops]
     out = np.zeros_like(amat)
@@ -195,7 +190,7 @@ def lindblad_apply(spec: LindbladSpec, a: OperatorLike, n: int) -> PauliOperator
                 out += -0.5 * m * (prod @ amat - amat @ prod)
             if lam != 0:
                 out += lam * (bi_dag @ amat @ bj - 0.5 * (prod @ amat + amat @ prod))
-    return pauli.dense_to_operator(out, n)
+    return out
 
 
 def heisenberg_superoperator(spec: LindbladSpec, n: int) -> np.ndarray:
@@ -346,7 +341,7 @@ def check_quasisymmetry(space: GnsSpace, h: OperatorLike, b_ops: Sequence[Operat
     for bi in b_mats:
         for bj in b_mats:
             prod = bi.conj().T @ bj
-            value = np.trace(space.rho.matrix @ (prod @ h_mat - h_mat @ prod))
+            value = np.trace(space.rho @ (prod @ h_mat - h_mat @ prod))
             direct = max(direct, abs(value))
 
     proj = space.span_projection(b_ops)
@@ -383,14 +378,14 @@ class CheckResult:
         )
 
 
-def _random_faithful_state(n: int, rng) -> DensityMatrix:
+def _random_faithful_state(n: int, rng) -> np.ndarray:
     h = random_k_local_hamiltonian(n, n, rng, coeff_norm=0.75)[0]
     temperature = float(rng.uniform(0.5, 4.0))
     return gibbs_density(h, temperature)
 
 
-def _random_commuting_observable(rho: DensityMatrix, rng) -> np.ndarray:
-    evals, evecs = scipy.linalg.eigh(rho.matrix)
+def _random_commuting_observable(rho: np.ndarray, rng) -> np.ndarray:
+    evals, evecs = scipy.linalg.eigh(rho)
     diag = rng.normal(0.0, 1.0, size=len(evals))
     return (evecs * diag) @ evecs.conj().T
 
@@ -465,7 +460,7 @@ def run_battery(n_max: int = 3, seed: int = 0, instances: int = 100) -> List[Che
         # modular operator as a sesquilinear form: <a|Delta|b> = omega(b a*)
         va, vb = space.vector(a_mat), space.vector(b_mat)
         lhs = va.conj() @ space.delta @ vb
-        rhs = np.trace(rho.matrix @ b_mat @ a_mat.conj().T)
+        rhs = np.trace(rho @ b_mat @ a_mat.conj().T)
         record("delta_sesquilinear_form", abs(lhs - rhs) / scale_d, 1e-9)
 
         # log of the modular operator equals the representation difference
@@ -512,9 +507,7 @@ def run_battery(n_max: int = 3, seed: int = 0, instances: int = 100) -> List[Che
         h_obs_mat = pauli.dense_matrix(h_obs)
 
         entropy_rate, energy_rate = gns_rates(space, h_obs_mat, spec)
-        direct_rate = np.trace(
-            rho.matrix @ pauli.dense_matrix(lindblad_apply(spec, h_obs_mat, n))
-        )
+        direct_rate = np.trace(rho @ lindblad_apply(spec, h_obs_mat))
         record(
             "energy_rate_identity",
             abs(energy_rate - direct_rate) / max(1.0, abs(direct_rate)),
@@ -524,7 +517,7 @@ def run_battery(n_max: int = 3, seed: int = 0, instances: int = 100) -> List[Che
         if n <= DYNAMICS_SITE_LIMIT:
             step = 1e-5
             def entropy_at(t):
-                evolved = evolve_state(spec, rho.matrix, t, n)
+                evolved = evolve_state(spec, rho, t, n)
                 evals = scipy.linalg.eigvalsh(evolved)
                 return -float(np.sum(evals * np.log(evals)))
 
@@ -538,7 +531,7 @@ def run_battery(n_max: int = 3, seed: int = 0, instances: int = 100) -> List[Che
             analytic = free_energy_derivative(space, h_obs_mat, temperature, spec)
 
             def fe_at(t):
-                evolved = evolve_state(spec, rho.matrix, t, n)
+                evolved = evolve_state(spec, rho, t, n)
                 return free_energy(evolved, h_obs_mat, temperature)
 
             fd_value = (fe_at(step) - fe_at(-step)) / (2 * step)

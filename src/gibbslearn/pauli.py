@@ -26,7 +26,6 @@ _RANKED_CODES = (0, 1, 3, 2)  # the codes of I < X < Y < Z, the canonical letter
 
 DEFAULT_DENSE_LIMIT = 12
 _DENSE_LIMIT_ENV = "GIBBSLEARN_DENSE_LIMIT"
-EXPAND_TOL = 1e-14  # dense_to_operator drops coefficients at or below this
 
 
 def dense_limit() -> int:
@@ -171,33 +170,8 @@ class PauliOperator:
             acc[string] = acc.get(string, 0) + coeff
         return PauliOperator(self.n, acc)
 
-    def __sub__(self, other: "PauliOperator") -> "PauliOperator":
-        return self + (-1.0) * other
-
-    def __neg__(self) -> "PauliOperator":
-        return (-1.0) * self
-
     def __rmul__(self, scalar: complex) -> "PauliOperator":
         return PauliOperator(self.n, {s: scalar * c for s, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self.__rmul__(other)
-        return NotImplemented
-
-    def __matmul__(self, other: "PauliOperator") -> "PauliOperator":
-        """Operator product, expanded term by term with exact phases."""
-        _require_same_n(self, other)
-        acc: Dict[PauliString, complex] = {}
-        for p, cp in self.terms.items():
-            for q, cq in other.terms.items():
-                r = PauliString(self.n, p.x ^ q.x, p.z ^ q.z)
-                coeff = cp * cq * PHASES[phase_exponent(p, q)]
-                acc[r] = acc.get(r, 0) + coeff
-        return PauliOperator(self.n, acc)
-
-    def adjoint(self) -> "PauliOperator":
-        return PauliOperator(self.n, {s: c.conjugate() for s, c in self.terms.items()})
 
     def is_selfadjoint(self) -> bool:
         return all(c.imag == 0 for c in self.terms.values())
@@ -407,17 +381,6 @@ def dense_matrix(op: PauliOperator) -> np.ndarray:
     for string, coeff in op.terms.items():
         _add_string(out, string, coeff)
     return out
-
-
-def dense_to_operator(matrix: np.ndarray, n: int) -> PauliOperator:
-    """Expand a dense matrix in the Pauli basis, dropping coefficients at or below EXPAND_TOL."""
-    _check_dense(n)
-    terms = {}
-    for string in all_strings(n):
-        coeff = np.trace(string_dense(string) @ matrix) / (1 << n)
-        if abs(coeff) > EXPAND_TOL:
-            terms[string] = coeff
-    return PauliOperator(n, terms)
 
 
 def all_strings(n: int, include_identity: bool = True) -> List[PauliString]:

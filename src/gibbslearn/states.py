@@ -1,10 +1,11 @@
 """Exact desk-scale Gibbs states, expectation tables and the noise model.
 
-States are prepared by diagonalizing the dense Hamiltonian matrix one
-sector, a connected block of the matrix, at a time.  Expectation tables are
-the algorithm's only window onto the state: Pauli strings, as bit masks, and
-their values, optionally corrupted by independent Gaussian noise of a given
-standard deviation.
+A state on n sites is its 2^n x 2^n complex density matrix, a plain numpy
+array; ``n_sites`` reads n off its shape.  Gibbs states are prepared by
+diagonalizing the dense Hamiltonian matrix one sector, a connected block of
+the matrix, at a time.  Expectation tables are the algorithm's only window
+onto the state: Pauli strings, as bit masks, and their values, optionally
+corrupted by independent Gaussian noise of a given standard deviation.
 """
 
 from __future__ import annotations
@@ -19,31 +20,17 @@ from . import pauli
 from .errors import BadTable, DimensionMismatch, IncompleteData
 from .pauli import PauliOperator, PauliString
 
-HERMITICITY_TOL = 1e-12
-TRACE_TOL = 1e-12
 GATHER_ENTRIES = 1 << 20  # density-matrix entries build_table gathers at once
 
 _PHASE_TABLE = np.array(pauli.PHASES)
 
 
-@dataclass
-class DensityMatrix:
-    """A density matrix on n sites."""
-
-    n: int
-    matrix: np.ndarray
-
-    @classmethod
-    def from_matrix(cls, n: int, matrix: np.ndarray) -> "DensityMatrix":
-        matrix = np.asarray(matrix, dtype=complex)
-        dim = 1 << n
-        if matrix.shape != (dim, dim):
-            raise DimensionMismatch(f"expected shape {(dim, dim)}, got {matrix.shape}")
-        if np.abs(matrix - matrix.conj().T).max() > HERMITICITY_TOL:
-            raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(matrix).real - 1.0) > TRACE_TOL or abs(np.trace(matrix).imag) > TRACE_TOL:
-            raise ValueError("density matrix does not have unit trace")
-        return cls(n, matrix)
+def n_sites(rho: np.ndarray) -> int:
+    """The site count n of a state, a 2^n x 2^n matrix; any other shape raises DimensionMismatch."""
+    n = rho.shape[0].bit_length() - 1 if rho.ndim == 2 else 0
+    if n < 1 or rho.shape != (1 << n, 1 << n):
+        raise DimensionMismatch(f"a state on n sites is a 2^n x 2^n matrix, not shape {rho.shape}")
+    return n
 
 
 def _sectors(m: np.ndarray) -> List[np.ndarray]:
@@ -68,8 +55,8 @@ def _sectors(m: np.ndarray) -> List[np.ndarray]:
     return np.split(order, starts[1:])
 
 
-def gibbs_density(h: PauliOperator, temperature: float) -> DensityMatrix:
-    """rho = exp(-h/T) / tr(exp(-h/T)), diagonalizing h one sector at a time.
+def gibbs_density(h: PauliOperator, temperature: float) -> np.ndarray:
+    """The 2^n x 2^n matrix rho = exp(-h/T) / tr(exp(-h/T)), diagonalizing h one sector at a time.
 
     The sectors are the connected components of the nonzero pattern of h's
     matrix (``_sectors``): the magnetization sectors of a chain that conserves
@@ -99,18 +86,19 @@ def gibbs_density(h: PauliOperator, temperature: float) -> DensityMatrix:
     rho = np.zeros((1 << h.n, 1 << h.n), dtype=complex)
     for (idx, _, evecs), w in zip(solved, weights):
         rho[np.ix_(idx, idx)] = (evecs * (w / total)) @ evecs.conj().T
-    return DensityMatrix(h.n, rho)
+    return rho
 
 
-def expectation(rho: DensityMatrix, p: PauliString) -> float:
+def expectation(rho: np.ndarray, p: PauliString) -> float:
     """tr(rho p), exploiting that a Pauli string has one entry per row."""
-    if p.n != rho.n:
-        raise DimensionMismatch(f"string on {p.n} sites, state on {rho.n}")
+    n = n_sites(rho)
+    if p.n != n:
+        raise DimensionMismatch(f"string on {p.n} sites, state on {n}")
     xi, zi = pauli.index_masks(np.array([p.x, p.z], dtype=np.uint64), p.n).tolist()
     dim = 1 << p.n
     idx = np.arange(dim)
     signs = 1 - 2 * (np.bitwise_count(idx & zi).astype(np.int64) & 1)
-    gathered = rho.matrix[idx, idx ^ xi]
+    gathered = rho[idx, idx ^ xi]
     value = pauli.PHASES[(p.x & p.z).bit_count() % 4] * np.dot(gathered, signs)
     return float(value.real)
 
@@ -258,7 +246,7 @@ class ExpectationTable:
             raise BadTable(f"table file {path}: {exc}") from exc
 
 
-def build_table(rho: DensityMatrix, strings: Tuple[np.ndarray, np.ndarray]) -> ExpectationTable:
+def build_table(rho: np.ndarray, strings: Tuple[np.ndarray, np.ndarray]) -> ExpectationTable:
     """Evaluate every string, given as uint64 masks (x, z), exactly; identity is pinned to 1.
 
     A string with index masks (xi, zi) and y letters Y has
@@ -269,14 +257,15 @@ def build_table(rho: DensityMatrix, strings: Tuple[np.ndarray, np.ndarray]) -> E
     ``GATHER_ENTRIES`` entries, so a block never holds more entries than rho.
     A mask outside rho's sites raises the table constructor's ValueError.
     """
+    n = n_sites(rho)
     x, z = (np.asarray(m, dtype=np.uint64) for m in strings)
-    xi = pauli.index_masks(x, rho.n)
-    zi = pauli.index_masks(z, rho.n)
+    xi = pauli.index_masks(x, n)
+    zi = pauli.index_masks(z, n)
     x_masks, which = np.unique(xi, return_inverse=True)
     phases = _PHASE_TABLE[np.bitwise_count(x & z) % 4]
-    dim = 1 << rho.n
+    dim = 1 << n
     basis = np.arange(dim)
-    flat = rho.matrix.ravel()
+    flat = rho.ravel()
     values = np.empty(len(x))
     per_block = max(1, GATHER_ENTRIES // dim)
     for start in range(0, len(x_masks), per_block):
@@ -285,7 +274,7 @@ def build_table(rho: DensityMatrix, strings: Tuple[np.ndarray, np.ndarray]) -> E
         here = (which >= start) & (which < start + len(block))
         values[here] = (phases[here] * transformed[which[here] - start, zi[here]]).real
     values[(x | z) == 0] = 1.0
-    return ExpectationTable(rho.n, x, z, values)
+    return ExpectationTable(n, x, z, values)
 
 
 def _walsh_hadamard(a: np.ndarray) -> np.ndarray:

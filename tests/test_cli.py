@@ -21,13 +21,7 @@ from gibbslearn.cli import (
 from gibbslearn.errors import ConfigError
 from gibbslearn.models import string_basis_operators, xxz_chain
 from gibbslearn.pauli import PauliString, canonical_order, enumerate_geometric_k_local
-from gibbslearn.states import (
-    DensityMatrix,
-    ExpectationTable,
-    build_table,
-    gibbs_density,
-    required_strings,
-)
+from gibbslearn.states import ExpectationTable, build_table, gibbs_density, required_strings
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -143,14 +137,41 @@ class TestConfig:
                 "strong X0",
                 "[terms] t1 = 'strong X0': expected '<coeff> <paulis>'",
             ),
+            (
+                "n = 4\nmodel = custom\n",
+                "1.0 Q0 X1",
+                "[terms] 'Q0 X1': cannot parse Pauli token 'Q0'",
+            ),
+            ("n = 4\nmodel = custom\n", "1.0 X0 X7", "[terms] 'X0 X7': site 7 outside [0, 4)"),
+            (
+                "n = 4\nmodel = custom\n",
+                "1.0 X0 X0",
+                "[terms] 'X0 X0': site 0 listed twice in 'X0 X0'",
+            ),
         ],
-        ids=["no-custom-model", "nan-coefficient", "malformed-line"],
+        ids=[
+            "no-custom-model",
+            "nan-coefficient",
+            "malformed-line",
+            "unknown-letter",
+            "site-out-of-range",
+            "site-twice",
+        ],
     )
     def test_bad_terms_are_config_error(self, tmp_path, capsys, experiment, term, message):
         path = tmp_path / "exp.ini"
         path.write_text(f"[experiment]\n{experiment}[terms]\nt1 = {term}\n")
         assert main(["gen", "--config", str(path), "--out", str(tmp_path / "x")]) == 4
         assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+        assert not (tmp_path / "x").exists()
+
+    def test_bad_term_is_config_error_in_sweep(self, tmp_path, capsys):
+        path = tmp_path / "exp.ini"
+        path.write_text("[experiment]\nn = 4\nmodel = custom\n[terms]\nt1 = 1.0 X0 X7\n")
+        assert main(["sweep", "--config", str(path), "--out-dir", str(tmp_path / "x")]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: [terms] 'X0 X7': site 7 outside [0, 4)"
+        ]
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
@@ -386,12 +407,9 @@ class TestGenLearn:
         # in the 2-local span, and the program certifies it
         n = 4
         h = xxz_chain(n, 0.5)
-        mixed = 0.5 * (gibbs_density(h, 1.0).matrix + gibbs_density(h, 10.0).matrix)
+        mixed = 0.5 * (gibbs_density(h, 1.0) + gibbs_density(h, 10.0))
         basis = enumerate_geometric_k_local(n, 2)
-        table = build_table(
-            DensityMatrix.from_matrix(n, mixed),
-            required_strings(basis, string_basis_operators(basis)),
-        )
+        table = build_table(mixed, required_strings(basis, string_basis_operators(basis)))
         table.save(tmp_path / "table.tsv")
         out = tmp_path / "result.txt"
         assert main(["learn", "--table", str(tmp_path / "table.tsv"), "--out", str(out)]) == 3

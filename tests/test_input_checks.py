@@ -13,13 +13,9 @@ from gibbslearn.learn import (
 )
 from gibbslearn.models import xxz_chain
 from gibbslearn.moments import MomentAssembler
-from gibbslearn.pauli import PauliOperator, PauliString, enumerate_geometric_k_local
+from gibbslearn.pauli import PauliOperator, PauliString, enumerate_geometric_k_local, masks
 from gibbslearn.sdp import SdpProblem
-from gibbslearn.states import DensityMatrix, expectation
-
-
-def _pure_state():
-    return DensityMatrix.from_matrix(1, np.diag([1.0, 0.0]))
+from gibbslearn.states import build_table, expectation
 
 
 CHECKS = {
@@ -55,22 +51,12 @@ CHECKS = {
         "dimensions disagree",
     ),
     "density-wrong-shape": (
-        lambda: DensityMatrix.from_matrix(2, np.eye(2) / 2),
+        lambda: build_table(np.eye(3) / 3, masks([PauliString(1, z=1)])),
         DimensionMismatch,
-        r"expected shape \(4, 4\)",
-    ),
-    "density-not-hermitian": (
-        lambda: DensityMatrix.from_matrix(1, [[0.5, 0.1], [0.0, 0.5]]),
-        ValueError,
-        "not Hermitian",
-    ),
-    "density-trace-not-one": (
-        lambda: DensityMatrix.from_matrix(1, np.eye(2)),
-        ValueError,
-        "unit trace",
+        r"2\^n x 2\^n matrix, not shape \(3, 3\)",
     ),
     "expectation-other-n": (
-        lambda: expectation(_pure_state(), PauliString(2, z=1)),
+        lambda: expectation(np.diag([1.0, 0.0]), PauliString(2, z=1)),
         DimensionMismatch,
         "string on 2 sites, state on 1",
     ),

@@ -15,6 +15,7 @@ from gibbslearn.learn import (
     evaluate_recovery,
     reconstruct,
     recovery_angle,
+    stability_problem,
     temperature_ratio,
     verdict,
 )
@@ -194,7 +195,6 @@ class TestReconstructSmall:
 
         from gibbslearn.errors import GramDegenerate
         from gibbslearn.pauli import dense_matrix
-        from gibbslearn.states import DensityMatrix
 
         n = 2
         h = xxz_chain(n)
@@ -202,8 +202,7 @@ class TestReconstructSmall:
         ground = np.outer(evecs[:, 0], evecs[:, 0].conj())
         dim = 1 << n
         mat = (1 - 1e-12 * dim) * ground + 1e-12 * np.eye(dim)
-        mat /= np.trace(mat).real
-        rho = DensityMatrix.from_matrix(n, mat)
+        rho = mat / np.trace(mat).real
         b = all_strings(n, include_identity=False)
         h_terms = string_basis_operators(b)
         asm = MomentAssembler(b, h_terms)
@@ -234,6 +233,61 @@ class TestCentralPath:
         assert result.verdict is Verdict.CANDIDATE
         assert result.diagnostics.solver_iterations == 13
         assert result.t_star == pytest.approx(0.20313823824930388, rel=1e-8)
+
+
+@pytest.fixture(scope="module")
+def n6_string_basis():
+    """The 2-local strings of a 6-site chain, an assembler on them and the strings it reads."""
+    b = enumerate_geometric_k_local(6, 2)
+    h_terms = string_basis_operators(b)
+    return b, MomentAssembler(b, h_terms), required_strings(b, h_terms)
+
+
+def n6_hamiltonian(model, b):
+    """XXZ, with q = 2 kernel operators (H and the magnetization), or a generic chain, q = 1."""
+    xxz = xxz_chain(6, 0.5)
+    if model == "xxz":
+        return xxz
+    norm = np.linalg.norm(coefficient_vector(xxz, b))
+    return random_k_local_hamiltonian(6, 2, np.random.default_rng(100), coeff_norm=norm)[0]
+
+
+class TestFace:
+    """On exact data the stability program's optimum is a face, not a point."""
+
+    @pytest.mark.parametrize("temperature", [1.0, 10.0])
+    @pytest.mark.parametrize("model, q", [("xxz", 2), ("generic", 1)])
+    def test_kernel_operators_are_null_directions(
+        self, n6_string_basis, rng, model, q, temperature
+    ):
+        # each kernel operator K_a commutes with the state and with every
+        # other K_b, so its GNS vector is killed by log(Delta) and by each
+        # H~_b: a null vector of T L0 + sum y H~ for every (y, T), whence mu* <= 0
+        b, asm, needed = n6_string_basis
+        table = build_table(gibbs_density(n6_hamiltonian(model, b), temperature), needed)
+        ortho, moments = asm.moment_set(table)
+        assert moments.q == q
+        problem = stability_problem(moments, ReconstructOptions())
+        v = np.linalg.solve(ortho.coeffs, moments.kernel_coeffs.T)
+        v /= np.linalg.norm(v, axis=0)
+        for _ in range(20):
+            y, t = rng.normal(size=q), rng.uniform(0.0, 20.0)
+            m = t * problem.l0 + np.einsum("a,aij->ij", y, problem.h_tilde_mats)
+            assert np.linalg.norm(m @ v, axis=0).max() <= 1e-11 * np.abs(m).max()
+        assert solve(problem).mu_star <= 1e-12
+
+    @pytest.mark.parametrize("temperature", [1.0, 2.0, 10.0])
+    def test_solver_picks_the_true_direction_on_the_face(self, n6_string_basis, temperature):
+        # every point of the face has the same margin, so certification alone
+        # does not fix y*: a solver that only maximizes lambda_min certified
+        # these programs yet returned theta = 1.1e-4 at T=1.  The interior-point
+        # path lands on the truth (theta 1.6e-14, 5.7e-15 and 4.2e-15)
+        b, asm, needed = n6_string_basis
+        h = n6_hamiltonian("xxz", b)
+        result = reconstruct(build_table(gibbs_density(h, temperature), needed), asm)
+        assert result.verdict is Verdict.CANDIDATE
+        report = evaluate_recovery(result, coefficient_vector(h, b), temperature)
+        assert report.theta <= 1e-10
 
 
 def xxz_bond_terms(n):

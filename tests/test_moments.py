@@ -125,7 +125,7 @@ class TestDeltaAndH:
         # modular spectrum: all ratios of state eigenvalues
         h, _, b, _, asm, rho, table = make_setup(2, 1.5, rng)
         ortho, moments = asm.moment_set(table)
-        evals = scipy.linalg.eigvalsh(rho.matrix)
+        evals = scipy.linalg.eigvalsh(rho)
         ratios = np.sort([a / c for a in evals for c in evals])[: len(b)]
         got = np.sort(scipy.linalg.eigvalsh(moments.delta))
         full = np.sort([a / c for a in evals for c in evals])

@@ -13,6 +13,7 @@ def test_library_quick_start_runs(capsys):
     exec(compile(code, "README.md", "exec"), {})
     verdict, t_star, theta, ratio = capsys.readouterr().out.split()
     assert verdict == "Candidate"
-    # on a restricted span the margin-optimal temperature is off by a few
-    # percent (criterion 3c accepts [0.5, 2]); the direction is exact
+    # on exact data every point of the optimal face has margin mu* = 0, and
+    # T* is the solver's interior choice on it, a few percent off the truth
+    # (criterion 3c accepts [0.5, 2]); the direction is exact
     assert float(theta) < 1e-6 and 0.5 <= float(ratio) <= 2.0

@@ -58,7 +58,7 @@ def asymmetric_chain(n, seed=0):
 class TestGibbsDensity:
     def test_zero_hamiltonian_is_maximally_mixed(self):
         rho = gibbs_density(PauliOperator.zero(2), 3.0)
-        assert np.abs(rho.matrix - np.eye(4) / 4).max() < 1e-14
+        assert np.abs(rho - np.eye(4) / 4).max() < 1e-14
 
     def test_two_level_tanh(self):
         h = PauliOperator.from_terms(1, [(-1.0, "Z0")])
@@ -73,7 +73,7 @@ class TestGibbsDensity:
         dense = kron_operator(h)
         ref = scipy.linalg.expm(-dense / t)
         ref /= np.trace(ref)
-        assert np.abs(rho.matrix - ref).max() < 1e-12
+        assert np.abs(rho - ref).max() < 1e-12
 
     def test_odd_y_term_against_expm_oracle(self):
         # X0 Y1 - Y0 X1 has an imaginary matrix, so h is diagonalized complex;
@@ -85,8 +85,8 @@ class TestGibbsDensity:
             rho = gibbs_density(h, 1.5)
             ref = scipy.linalg.expm(-kron_operator(h) / 1.5)
             ref /= np.trace(ref)
-            assert np.abs(rho.matrix - ref).max() < 1e-12
-            assert np.abs(rho.matrix.imag).max() > 1e-3
+            assert np.abs(rho - ref).max() < 1e-12
+            assert np.abs(rho.imag).max() > 1e-3
 
     def test_diagonal_hamiltonian_boltzmann_weights(self):
         # Z fields and a Z0 Z2 coupling: rho is diag(exp(-E/T)) / Z over the 2^n spin configurations
@@ -99,7 +99,7 @@ class TestGibbsDensity:
             for spins in itertools.product((1, -1), repeat=4)
         ])
         weights = np.exp(-energies / t)
-        assert np.abs(rho.matrix - np.diag(weights / weights.sum())).max() < 1e-15
+        assert np.abs(rho - np.diag(weights / weights.sum())).max() < 1e-15
 
     @pytest.mark.parametrize("t", [0.05, 2e-4])
     def test_low_temperature_against_shifted_expm(self, t):
@@ -110,7 +110,7 @@ class TestGibbsDensity:
         ground = scipy.linalg.eigvalsh(dense)[0]
         ref = scipy.linalg.expm(-(dense - ground * np.eye(64)) / t)
         ref /= np.trace(ref)
-        rho = gibbs_density(h, t).matrix
+        rho = gibbs_density(h, t)
         assert not np.isnan(rho).any()
         assert abs(np.trace(rho) - 1.0) < 1e-13
         assert np.abs(rho - ref).max() < 1e-13
@@ -124,21 +124,21 @@ class TestGibbsDensity:
         energies, evecs = scipy.linalg.eigh(kron_operator(h))
         weights = np.exp(-(energies - energies[0]) / t)
         ref = (evecs * (weights / weights.sum())) @ evecs.conj().T
-        assert np.abs(gibbs_density(h, t).matrix - ref).max() < 1e-14
+        assert np.abs(gibbs_density(h, t) - ref).max() < 1e-14
 
     def test_real_hamiltonian_keeps_complex_dtypes(self):
         rho = gibbs_density(xxz_chain(4), 2.0)
-        evals, evecs = scipy.linalg.eigh(rho.matrix)
-        assert rho.matrix.dtype == evecs.dtype == np.complex128
+        evals, evecs = scipy.linalg.eigh(rho)
+        assert rho.dtype == evecs.dtype == np.complex128
         assert np.all(np.diff(evals) >= 0)
         rebuilt = (evecs * evals) @ evecs.conj().T
-        assert np.abs(rebuilt - rho.matrix).max() < 1e-14
+        assert np.abs(rebuilt - rho).max() < 1e-14
 
     def test_commutes_with_hamiltonian(self):
         h = xxz_chain(3)
         rho = gibbs_density(h, 0.7)
         hd = dense_matrix(h)
-        assert np.abs(rho.matrix @ hd - hd @ rho.matrix).max() < 1e-10
+        assert np.abs(rho @ hd - hd @ rho).max() < 1e-10
 
     def test_rejects_bad_input(self):
         h = PauliOperator.from_terms(1, [(1j, "X0")])
@@ -153,7 +153,7 @@ class TestGibbsDensity:
         h = xxz_chain(3)
         rho1 = gibbs_density(h, 1.3)
         rho2 = gibbs_density(2.5 * h, 2.5 * 1.3)
-        assert np.abs(rho1.matrix - rho2.matrix).max() < 1e-12
+        assert np.abs(rho1 - rho2).max() < 1e-12
 
     def test_free_energy_minimality(self, rng):
         # the thermal state minimizes -T S + <h> against random perturbations
@@ -173,12 +173,12 @@ class TestGibbsDensity:
                     np.trace(mat @ hd).real
                 )
 
-            base = free_energy(rho.matrix)
+            base = free_energy(rho)
             dim = 1 << n
             for _ in range(100):
                 shift = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
                 shift = shift + shift.conj().T
-                cand = rho.matrix + 1e-3 * shift / np.abs(shift).max()
+                cand = rho + 1e-3 * shift / np.abs(shift).max()
                 evals = scipy.linalg.eigvalsh(cand)
                 if evals.min() <= 1e-12:
                     continue
@@ -227,7 +227,7 @@ class TestExpectation:
         value = expectation(rho, PauliString.from_text("X0 X1", 4))
         dense = kron_operator(PauliOperator.from_terms(4, [(1.0, "X0 X1")]))
         assert value > 0
-        assert abs(value - np.trace(rho.matrix @ dense).real) < 1e-12
+        assert abs(value - np.trace(rho @ dense).real) < 1e-12
 
     def test_bounded_by_one(self, rng):
         rho = gibbs_density(xxz_chain(3), 0.8)
@@ -317,7 +317,7 @@ def assert_matches_expectation(table, rho, strings):
     assert len(table.values) == len(set(strings))
     ref = [1.0 if s.is_identity else expectation(rho, s) for s in strings]
     assert np.abs(table.lookup(*masks(strings)) - ref).max() < 1e-14
-    assert table.lookup(*masks([PauliString.identity(rho.n)])).tolist() == [1.0]
+    assert table.lookup(*masks([PauliString.identity(table.n)])).tolist() == [1.0]
 
 
 def assert_same_masks(a, b):
@@ -344,7 +344,7 @@ class TestBuildTable:
         # the Walsh-Hadamard route against literal tensor products
         rho = gibbs_density(asymmetric_chain(3, seed=1), 1.2)
         table = build_table(rho, masks(all_strings(3)))
-        ref = [np.trace(rho.matrix @ kron_string(s)).real for s in all_strings(3)]
+        ref = [np.trace(rho @ kron_string(s)).real for s in all_strings(3)]
         assert np.abs(table.lookup(*masks(all_strings(3))) - ref).max() < 1e-14
 
     def test_two_local_closure_n6(self):
