@@ -264,8 +264,16 @@ def load_truth(path) -> Tuple[int, float, PauliOperator]:
         if "n" not in header or "temperature" not in header:
             raise ValueError("lacks n/temperature headers")
         n = int(header["n"])
+        temperature = float(header["temperature"])
+        if not 0 < temperature < math.inf:
+            raise ValueError(f"temperature {header['temperature']!r}: must be finite and positive")
         terms = [(float(coeff), text) for coeff, text in rows]
-        return n, float(header["temperature"]), PauliOperator.from_terms(n, terms)
+        for coeff, text in terms:
+            if not math.isfinite(coeff):
+                raise ValueError(f"coefficient {coeff!r} of {text!r}: must be finite")
+        if not any(coeff for coeff, _ in terms):
+            raise ValueError("no nonzero coefficient")
+        return n, temperature, PauliOperator.from_terms(n, terms)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"truth file {path}: {exc}") from exc
 

@@ -39,7 +39,7 @@ OperatorLike = Union[PauliOperator, PauliString, np.ndarray]
 
 def _as_matrix(obj: OperatorLike) -> np.ndarray:
     if isinstance(obj, PauliString):
-        return pauli.string_dense(obj)
+        return pauli.dense_matrix(PauliOperator.from_string(obj))
     if isinstance(obj, PauliOperator):
         return pauli.dense_matrix(obj)
     return np.asarray(obj, dtype=complex)
@@ -47,11 +47,7 @@ def _as_matrix(obj: OperatorLike) -> np.ndarray:
 
 def _swap_permutation(dim: int) -> np.ndarray:
     """Permutation P with P vec(A) = vec(A^T) for dim x dim matrices."""
-    perm = np.zeros((dim * dim, dim * dim))
-    for i in range(dim):
-        for j in range(dim):
-            perm[j * dim + i, i * dim + j] = 1.0
-    return perm
+    return np.eye(dim * dim)[np.arange(dim * dim).reshape(dim, dim).T.ravel()]
 
 
 @dataclass
@@ -516,12 +512,9 @@ def run_battery(n_max: int = 3, seed: int = 0, instances: int = 100) -> List[Che
 
         if n <= DYNAMICS_SITE_LIMIT:
             step = 1e-5
-            def entropy_at(t):
-                evolved = evolve_state(spec, rho, t, n)
-                evals = scipy.linalg.eigvalsh(evolved)
-                return -float(np.sum(evals * np.log(evals)))
-
-            fd_entropy = (entropy_at(step) - entropy_at(-step)) / (2 * step)
+            evolved = [evolve_state(spec, rho, t, n) for t in (step, -step)]
+            entropies = [-float(np.sum(e * np.log(e))) for e in map(scipy.linalg.eigvalsh, evolved)]
+            fd_entropy = (entropies[0] - entropies[1]) / (2 * step)
             record(
                 "entropy_rate_finite_difference",
                 abs(entropy_rate.real - fd_entropy) / max(1.0, abs(fd_entropy)),
@@ -529,12 +522,8 @@ def run_battery(n_max: int = 3, seed: int = 0, instances: int = 100) -> List[Che
             )
 
             analytic = free_energy_derivative(space, h_obs_mat, temperature, spec)
-
-            def fe_at(t):
-                evolved = evolve_state(spec, rho, t, n)
-                return free_energy(evolved, h_obs_mat, temperature)
-
-            fd_value = (fe_at(step) - fe_at(-step)) / (2 * step)
+            free_energies = [free_energy(e, h_obs_mat, temperature) for e in evolved]
+            fd_value = (free_energies[0] - free_energies[1]) / (2 * step)
             record(
                 "free_energy_derivative_finite_difference",
                 abs(analytic - fd_value) / max(1.0, abs(fd_value)),

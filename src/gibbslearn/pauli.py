@@ -5,6 +5,9 @@ The letter at a site is determined by the bit pair: (0,0) identity, (1,0) X,
 (1,1) Y, (0,1) Z, with the self-adjoint convention Y = i * X * Z.  All phases
 produced by products are exact fourth roots of unity, tracked as integer
 powers of i, never as floats.
+
+``dense_matrix`` is the one bridge to dense 2^n x 2^n matrices; it refuses
+more sites than ``dense_limit()``.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DenseLimitExceeded, DimensionMismatch
+from .errors import ConfigError, DenseLimitExceeded, DimensionMismatch
 
 PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 
@@ -29,18 +32,14 @@ _DENSE_LIMIT_ENV = "GIBBSLEARN_DENSE_LIMIT"
 
 
 def dense_limit() -> int:
-    """Current site limit for dense 2^n x 2^n constructions."""
-    value = os.environ.get(_DENSE_LIMIT_ENV)
-    return int(value) if value else DEFAULT_DENSE_LIMIT
+    """Site limit for dense 2^n x 2^n constructions: GIBBSLEARN_DENSE_LIMIT if set, else 12.
 
-
-def _check_dense(n: int):
-    limit = dense_limit()
-    if n > limit:
-        raise DenseLimitExceeded(
-            f"dense representation requested for n={n} sites, limit is {limit} "
-            f"(override with {_DENSE_LIMIT_ENV})"
-        )
+    A value of the variable that is not a whole number of at least 1 raises ConfigError.
+    """
+    value = os.environ.get(_DENSE_LIMIT_ENV) or str(DEFAULT_DENSE_LIMIT)
+    if not value.strip().isdecimal() or int(value) < 1:
+        raise ConfigError(f"{_DENSE_LIMIT_ENV} = {value!r}: must be a whole number of at least 1")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -353,33 +352,29 @@ def index_masks(site_masks: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _add_string(out: np.ndarray, string: PauliString, coeff: complex = 1.0):
-    """Add coeff times the string's matrix to ``out``: one entry per column.
-
-    Column c holds i^(number of Y letters) (-1)^popcount(c & z) in row c ^ x,
-    with x and z the string's basis-index masks.
-    """
-    cols = np.arange(out.shape[0])
-    xi, zi = index_masks(np.array([string.x, string.z], dtype=np.uint64), string.n).tolist()
-    signs = 1 - 2 * (np.bitwise_count(cols & zi).astype(np.int64) & 1)
-    out[cols ^ xi, cols] += coeff * PHASES[(string.x & string.z).bit_count() % 4] * signs
-
-
-def string_dense(string: PauliString) -> np.ndarray:
-    """Dense 2^n x 2^n matrix of a single string."""
-    _check_dense(string.n)
-    mat = np.zeros((1 << string.n, 1 << string.n), dtype=complex)
-    _add_string(mat, string)
-    return mat
-
-
 def dense_matrix(op: PauliOperator) -> np.ndarray:
-    """Dense matrix of a sparse operator; Hermitian when the operator is selfadjoint."""
-    _check_dense(op.n)
+    """Dense 2^n x 2^n matrix of a sparse operator; Hermitian when the operator is selfadjoint.
+
+    The one place where a Pauli object becomes a matrix: a single string is
+    ``dense_matrix(PauliOperator.from_string(s))``.  With x and z a string's
+    basis-index masks (``index_masks``), column c of its matrix holds
+    i^(number of Y letters) (-1)^popcount(c & z) in row c ^ x and nothing
+    else; each term adds its coefficient times that, one fancy-index ``+=``
+    per string.  More sites than ``dense_limit()`` raise DenseLimitExceeded.
+    """
+    limit = dense_limit()
+    if op.n > limit:
+        raise DenseLimitExceeded(
+            f"dense representation requested for n={op.n} sites, limit is {limit} "
+            f"(override with {_DENSE_LIMIT_ENV})"
+        )
     dim = 1 << op.n
     out = np.zeros((dim, dim), dtype=complex)
+    cols = np.arange(dim)
     for string, coeff in op.terms.items():
-        _add_string(out, string, coeff)
+        xi, zi = index_masks(np.array([string.x, string.z], dtype=np.uint64), op.n).tolist()
+        signs = 1 - 2 * (np.bitwise_count(cols & zi).astype(np.int64) & 1)
+        out[cols ^ xi, cols] += coeff * PHASES[(string.x & string.z).bit_count() % 4] * signs
     return out
 
 

@@ -211,6 +211,26 @@ class TestConfig:
         assert len(err) == 1 and err[0].startswith("config error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "value, command",
+        [("abc", "gen"), ("1.5", "gen"), ("0", "gen"), ("-3", "gen"), ("abc", "sweep"),
+         ("abc", "verify")],
+    )
+    def test_bad_dense_limit_is_config_error(self, tmp_path, capsys, monkeypatch, value, command):
+        monkeypatch.setenv("GIBBSLEARN_DENSE_LIMIT", value)
+        out = tmp_path / "out"
+        argv = {
+            "gen": ["gen", "--n", "4", "--out", str(out)],
+            "sweep": ["sweep", "--out-dir", str(out)],
+            "verify": ["verify", "--n", "1", "--instances", "1"],
+        }[command]
+        assert main(argv) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: GIBBSLEARN_DENSE_LIMIT = {value!r}: "
+            "must be a whole number of at least 1"
+        ]
+        assert not out.exists()
+
     def test_unreadable_config_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "missing.ini"
         assert main(["gen", "--config", str(path), "--out", str(tmp_path / "x")]) == 4
@@ -459,6 +479,46 @@ class TestTruthFile:
         truth.write_text("# n = 4\n# temperature = 1.0\n-1.0\tX0 X1\nstrong\tZ0 Z1\n")
         err = self.learn_error(capsys, tables_n4_n5 / "n4" / "table_T1p0.tsv", truth)
         assert err.startswith("config error: truth file") and "'strong'" in err
+
+    def gen_truth(self, tables_n4_n5, tmp_path, edit):
+        """The n=4 truth file ``gen`` wrote, with ``edit`` applied to its lines."""
+        lines = (tables_n4_n5 / "n4" / "truth_T1p0.txt").read_text().splitlines()
+        truth = tmp_path / "truth.txt"
+        truth.write_text("".join(line + "\n" for line in edit(lines)))
+        return truth
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_temperature_not_finite_and_positive(self, tables_n4_n5, tmp_path, capsys, value):
+        def edit(lines):
+            return [f"# temperature = {value}" if "temperature" in line else line for line in lines]
+
+        truth = self.gen_truth(tables_n4_n5, tmp_path, edit)
+        err = self.learn_error(capsys, tables_n4_n5 / "n4" / "table_T1p0.tsv", truth)
+        assert err == (
+            f"config error: truth file {truth}: temperature {value!r}: must be finite and positive"
+        )
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_coefficient_not_finite(self, tables_n4_n5, tmp_path, capsys, value):
+        def edit(lines):
+            # two header lines, then the first row, "-1.0<TAB>X0 X1"
+            return [*lines[:2], value + "\t" + lines[2].split("\t")[1], *lines[3:]]
+
+        truth = self.gen_truth(tables_n4_n5, tmp_path, edit)
+        err = self.learn_error(capsys, tables_n4_n5 / "n4" / "table_T1p0.tsv", truth)
+        assert err == (
+            f"config error: truth file {truth}: coefficient {float(value)!r} of 'X0 X1': "
+            "must be finite"
+        )
+
+    def test_all_coefficients_zero(self, tables_n4_n5, tmp_path, capsys):
+        def edit(lines):
+            return [line if line.startswith("#") else "0.0\t" + line.split("\t")[1]
+                    for line in lines]
+
+        truth = self.gen_truth(tables_n4_n5, tmp_path, edit)
+        err = self.learn_error(capsys, tables_n4_n5 / "n4" / "table_T1p0.tsv", truth)
+        assert err == f"config error: truth file {truth}: no nonzero coefficient"
 
     def test_other_site_count(self, tables_n4_n5, capsys):
         err = self.learn_error(

@@ -16,7 +16,6 @@ from gibbslearn.pauli import (
     masks,
     multiply,
     parse_texts,
-    string_dense,
     texts,
     unique_masks,
 )
@@ -234,17 +233,17 @@ class TestDense:
 
     def test_xx_antidiagonal(self):
         s = PauliString.from_text("X0 X1", 2)
-        assert np.abs(string_dense(s) - np.fliplr(np.eye(4))).max() == 0
+        assert np.abs(dense_matrix(PauliOperator.from_string(s)) - np.fliplr(np.eye(4))).max() == 0
 
     def test_limit(self, monkeypatch):
         monkeypatch.setenv("GIBBSLEARN_DENSE_LIMIT", "3")
         with pytest.raises(DenseLimitExceeded):
-            string_dense(PauliString.identity(4))
+            dense_matrix(PauliOperator.from_string(PauliString.identity(4)))
 
     @settings(max_examples=30)
     @given(pauli_strings(max_n=4))
     def test_matches_kron(self, p):
-        assert np.abs(string_dense(p) - kron_string(p)).max() < 1e-12
+        assert np.abs(dense_matrix(PauliOperator.from_string(p)) - kron_string(p)).max() < 1e-12
 
     def test_operator_matches_kron(self, rng):
         # complex coefficients on strings that share x-masks, so several

@@ -210,6 +210,21 @@ class TestSectors:
         sectors = states._sectors(dense_matrix(h))
         assert [idx.tolist() for idx in sectors] == [[i] for i in range(64)]
 
+    def test_interleaved_components_come_in_order_of_least_index(self):
+        # gibbs_density sums the sector weights in this order, so rho's bits depend on it
+        m = np.zeros((6, 6))
+        for i, j in ((0, 3), (1, 4), (4, 5)):
+            m[i, j] = m[j, i] = 1.0
+        assert [idx.tolist() for idx in states._sectors(m)] == [[0, 3], [1, 4, 5], [2]]
+
+    def test_scrambled_path_is_one_sector(self):
+        # the least label has to cross all 200 indices of the path
+        path = np.random.default_rng(5).permutation(200)
+        m = np.zeros((200, 200))
+        m[path[:-1], path[1:]] = m[path[1:], path[:-1]] = 1.0
+        sectors = states._sectors(m)
+        assert len(sectors) == 1 and (sectors[0] == np.arange(200)).all()
+
 
 class TestExpectation:
     def test_maximally_mixed_kills_traceless(self):
