@@ -112,8 +112,11 @@ class ExperimentConfig:
             raise ConfigError("[experiment] temperatures: must be positive")
         if not self.sigma_grid:
             raise ConfigError("[experiment] sigma_grid: empty grid")
-        if any(s < 0 for s in self.sigma_grid):
-            raise ConfigError("[experiment] sigma_grid: must be nonnegative")
+        for sigma in self.sigma_grid:
+            try:
+                states.check_noise_level(sigma)
+            except ValueError as exc:
+                raise ConfigError(f"[experiment] sigma_grid: {exc}") from exc
         for key in ("temperatures", "sigma_grid"):
             grid = getattr(self, key)
             repeated = [value for i, value in enumerate(grid) if value in grid[:i]]
@@ -234,8 +237,10 @@ def _format_temperature(t: float) -> str:
 
 def cmd_gen(args) -> int:
     cfg = _config_from_args(args)
-    if not (math.isfinite(args.sigma) and args.sigma >= 0):
-        raise ConfigError(f"--sigma {args.sigma!r}: must be finite and nonnegative")
+    try:
+        states.check_noise_level(args.sigma)
+    except ValueError as exc:
+        raise ConfigError(f"--sigma: {exc}") from exc
     os.makedirs(args.out, exist_ok=True)
     h_true = cfg.hamiltonian()
     tables = _exact_tables(h_true, cfg.temperatures, *_string_basis(cfg.n, cfg.k_local))

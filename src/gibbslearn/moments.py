@@ -13,14 +13,10 @@ with plain array gathers.  It holds only the products its moments read
 (``states.read_products``); a table needs no other string, and a missing one
 raises IncompleteData naming it.
 
-Every phase follows one rule (Aaronson and Gottesman 2004).  With
-y(p) = np.bitwise_count(x & z), the number of Y letters of p, a product of strings
-p_1 ... p_m equals i^g times the string with masks (x_1 ^ ... ^ x_m,
-z_1 ^ ... ^ z_m), where
-
-    g = sum_j y(p_j) - y(product) + 2 sum_{i<j} np.bitwise_count(z_i & x_j)   (mod 4).
-
-Each product's y is read off its own masks.  A commutator needs only the one
+Every phase is ``pauli.phase_exponent``, the product rule of Aaronson and
+Gottesman (2004) for two strings: b_l b_k = i^g(b_l, b_k) (b_l b_k as a
+string), and a triple is two products, so b_l t_u b_k = b_l (t_u b_k) has
+the phase i^(g(t_u, b_k) + g(b_l, t_u b_k)).  A commutator needs only the one
 bracketing b_l t_u b_k: when t_u commutes with b_k, b_l [t_u, b_k] is zero
 and the triple is never built, and when they anticommute
 b_l b_k t_u = -b_l t_u b_k, so the weight is 2 i^g.
@@ -36,7 +32,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatch, GramDegenerate
-from .pauli import PHASES, PauliOperator, PauliString, check_mask_limit, masks
+from .pauli import PHASES, PauliOperator, PauliString, check_mask_limit, masks, phase_exponent
 from .states import ExpectationTable, read_products
 
 DEFAULT_GRAM_FLOOR_REL = 1e-10
@@ -109,36 +105,26 @@ class MomentAssembler:
 
         xb, zb = masks(self.b)
         xt, zt = masks(strings)
-        (u, k), (x_pair, z_pair), (x_triple, z_triple), (self._x, self._z, inverse) = (
+        (u, k), (self._x, self._z), (self._pair_idx, self._triple_idx, self._term_idx) = (
             read_products(xb, zb, xt, zt)
         )
-        r, pairs, triples = len(self.b), x_pair.size, x_triple.size
-        self._pair_idx = inverse[:pairs].reshape(r, r)
-        self._triple_idx = inverse[pairs : pairs + triples].reshape(x_triple.shape)
-        self._term_idx = inverse[pairs + triples :]
 
-        # phases of every b_l b_k and b_l t_u b_k (module docstring), in uint8:
-        # sums wrap modulo 256, a multiple of 4, so every exponent stays exact
-        y_b, y_t = np.bitwise_count(xb & zb), np.bitwise_count(xt & zt)
-        zx_bb = np.bitwise_count(zb[:, None] & xb[None, :])  # (l, k)
-        zx_tb = np.bitwise_count(zt[u] & xb[k])  # (p,)
-        g_pair = (y_b[:, None] + y_b[None, :] - np.bitwise_count(x_pair & z_pair) + 2 * zx_bb) % 4
+        # phases of every b_l b_k and, as b_l (t_u b_k), of every b_l t_u b_k (module docstring)
+        self._pair_phase = _PHASE_TABLE[phase_exponent(xb[:, None], zb[:, None], xb, zb)]
+        x_tb, z_tb = xt[u] ^ xb[k], zt[u] ^ zb[k]  # (p,)
         g_triple = (
-            y_b[None, :]
-            + (y_t[u] + y_b[k])[:, None]
-            - np.bitwise_count(x_triple & z_triple)
-            + 2 * (np.bitwise_count(zb[None, :] & xt[u, None]) + zx_bb[:, k].T + zx_tb[:, None])
+            phase_exponent(xt[u], zt[u], xb[k], zb[k])[:, None]
+            + phase_exponent(xb, zb, x_tb[:, None], z_tb[:, None])
         ) % 4
-        self._pair_phase = _PHASE_TABLE[g_pair]
         # c_u omega(b_l [t_u, b_k]) = c_u 2 i^g omega(b_l t_u b_k) on the pair (u, k)
         self._comm_weight = _COMMUTATOR_TABLE[g_triple] * self._ct[u, None]
         self._comm_scatter = (self._alpha[u], slice(None), k)  # F[alpha_u, :, k] for pair (u, k)
 
         # structural count of nonzero commutator triples for the W threshold:
         # every (i, alpha, j) with [h_alpha, b_j] structurally nonzero
-        pair_nonzero = np.zeros((len(self.h_terms), r), dtype=bool)
+        pair_nonzero = np.zeros((len(self.h_terms), len(self.b)), dtype=bool)
         pair_nonzero[self._alpha[u], k] = True
-        self.commutator_term_count = int(r * pair_nonzero.sum())
+        self.commutator_term_count = int(len(self.b) * pair_nonzero.sum())
 
     # -- data-dependent assembly ------------------------------------------
 

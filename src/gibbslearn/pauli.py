@@ -100,15 +100,21 @@ def _require_same_n(a, b):
         raise DimensionMismatch(f"operands act on {a.n} and {b.n} sites")
 
 
-def phase_exponent(p: PauliString, q: PauliString) -> int:
-    """Integer g with p*q = i^g * (canonical string of the product)."""
-    x3 = p.x ^ q.x
-    z3 = p.z ^ q.z
+def phase_exponent(x1, z1, x2, z2):
+    """Integer g with p*q = i^g * (the string with masks (x1 ^ x2, z1 ^ z2)).
+
+    p has masks (x1, z1) and q (x2, z2), all Python ints, so strings of any
+    width, or all uint64 arrays that broadcast.  g = y(p) + y(q) - y(pq) +
+    2 popcount(z1 & x2) mod 4, with y the number of Y letters (Aaronson and
+    Gottesman 2004).  Array sums wrap in uint8, modulo 256, a multiple of 4,
+    so g stays exact.
+    """
+    popcount = int.bit_count if isinstance(x1, int) else np.bitwise_count
     g = (
-        (p.x & p.z).bit_count()
-        + (q.x & q.z).bit_count()
-        - (x3 & z3).bit_count()
-        + 2 * (p.z & q.x).bit_count()
+        popcount(x1 & z1)
+        + popcount(x2 & z2)
+        - popcount((x1 ^ x2) & (z1 ^ z2))
+        + 2 * popcount(z1 & x2)
     )
     return g % 4
 
@@ -117,7 +123,7 @@ def multiply(p: PauliString, q: PauliString) -> Tuple[PauliString, complex]:
     """Product of two strings: p*q = phase * r with phase in {1, i, -1, -i}."""
     _require_same_n(p, q)
     r = PauliString(p.n, p.x ^ q.x, p.z ^ q.z)
-    return r, PHASES[phase_exponent(p, q)]
+    return r, PHASES[phase_exponent(p.x, p.z, q.x, q.z)]
 
 
 class PauliOperator:
@@ -212,7 +218,7 @@ def commutator(a: PauliOperator, b: PauliOperator) -> PauliOperator:
             # pq and qp share the base string; anticommuting means qp = -pq,
             # so [p, q] = 2 * phase(p, q) * base.
             r = PauliString(a.n, p.x ^ q.x, p.z ^ q.z)
-            coeff = 2 * cp * cq * PHASES[phase_exponent(p, q)]
+            coeff = 2 * cp * cq * PHASES[phase_exponent(p.x, p.z, q.x, q.z)]
             acc[r] = acc.get(r, 0) + coeff
     return PauliOperator(a.n, acc)
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.linalg
 
 from . import pauli
 from .errors import BadTable, DimensionMismatch, IncompleteData
@@ -69,8 +70,6 @@ def gibbs_density(h: PauliOperator, temperature: float) -> np.ndarray:
         raise ValueError(f"temperature must be positive, got {temperature}")
     if not h.is_selfadjoint():
         raise ValueError("Hamiltonian must be selfadjoint (real coefficients)")
-    import scipy.linalg
-
     hmat = pauli.dense_matrix(h)
     # evd is the faster driver for real blocks, scipy's default (evr) for complex ones
     driver = None if hmat.imag.any() else "evd"
@@ -107,20 +106,21 @@ def read_products(xb: np.ndarray, zb: np.ndarray, xt: np.ndarray, zt: np.ndarray
     """The products the moments read, from the uint64 masks of basis strings b and term strings t.
 
     Returns the pairs (u, k) where t_u anticommutes with b_k, in u-major order;
-    the (r, r) masks of every b_l b_k; the (p, r) masks of b_l t_u b_k for the
-    p-th pair and every l; and (x, z, inverse), the distinct strings of the
-    pairs, the triples and the t_u, sorted by (x, z), and where each lands.
+    (x, z), the distinct strings of all products, sorted by (x, z); and three
+    index maps into them: the (r, r) map of every b_l b_k, the (p, r) map of
+    b_l t_u b_k for the p-th pair and every l, and the map of every t_u.
     Where t_u commutes with b_k, b_l [t_u, b_k] is zero: no such triple is built.
     """
     zx = np.bitwise_count(zt[:, None] & xb[None, :])
     u, k = np.nonzero((zx + np.bitwise_count(xt[:, None] & zb[None, :])) % 2 == 1)
     x_pair, z_pair = xb[:, None] ^ xb[None, :], zb[:, None] ^ zb[None, :]
     x_triple, z_triple = x_pair[:, k].T ^ xt[u, None], z_pair[:, k].T ^ zt[u, None]
-    distinct = pauli.unique_masks(
+    x, z, inverse = pauli.unique_masks(
         np.concatenate([x_pair.ravel(), x_triple.ravel(), xt]),
         np.concatenate([z_pair.ravel(), z_triple.ravel(), zt]),
     )
-    return (u, k), (x_pair, z_pair), (x_triple, z_triple), distinct
+    pair, triple, term = np.split(inverse, [x_pair.size, x_pair.size + x_triple.size])
+    return (u, k), (x, z), (pair.reshape(x_pair.shape), triple.reshape(x_triple.shape), term)
 
 
 def required_strings(
@@ -136,8 +136,8 @@ def required_strings(
         return pauli.masks([])
     pauli.check_mask_limit(b_basis[0].n, "string closure")
     terms = [t for op in h_terms for t in op.terms]
-    *_, (x, z, _) = read_products(*pauli.masks(b_basis), *pauli.masks(terms))
-    return x, z
+    _, strings, _ = read_products(*pauli.masks(b_basis), *pauli.masks(terms))
+    return strings
 
 
 def write_tsv(path, header: Dict[str, object], rows: Iterable[Tuple[str, str]]):
@@ -179,8 +179,9 @@ class ExpectationTable:
 
     The constructor sorts the three arrays once into canonical string order
     (``pauli.canonical_order``), which saving follows.  A mask outside the n
-    sites, a string listed twice, a non-finite value and an identity value
-    other than exactly 1 raise ValueError.
+    sites, a string listed twice, a non-finite value, an identity value
+    other than exactly 1, a ``noise_sigma`` that ``check_noise_level`` refuses
+    and a negative ``seed`` raise ValueError.
     """
 
     n: int
@@ -196,11 +197,16 @@ class ExpectationTable:
         values = np.asarray(self.values, dtype=float)
         if ((x | z) >> np.uint64(self.n)).any():
             raise ValueError(f"a string acts outside the table's {self.n} sites")
+        check_noise_level(self.noise_sigma)
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed {self.seed}: must be nonnegative")
         order = pauli.canonical_order(x, z)
         self.x, self.z, self.values = x[order], z[order], values[order]
-        _, _, inverse = pauli.unique_masks(self.x, self.z)
+        # canonical order puts equal strings next to each other
+        repeated = np.zeros(len(x), dtype=bool)
+        repeated[1:] = (self.x[1:] == self.x[:-1]) & (self.z[1:] == self.z[:-1])
         for bad, problem in (
-            (np.bincount(inverse)[inverse] > 1, "{s} is listed twice"),
+            (repeated, "{s} is listed twice"),
             (~np.isfinite(self.values), "{s} has the value {v!r}, which is not finite"),
             (((self.x | self.z) == 0) & (self.values != 1.0), "{s} has the value {v!r}, not 1"),
         ):
@@ -290,6 +296,17 @@ def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def check_noise_level(sigma: float):
+    """Refuse a noise standard deviation sigma unless it is at least 0 and has a finite square.
+
+    So sigma is finite and below about 1.34e154: tables combine noise levels
+    through sigma^2, and the W threshold scales with it.
+    """
+    sigma = float(sigma)
+    if not (sigma >= 0 and math.isfinite(sigma * sigma)):
+        raise ValueError(f"noise level {sigma!r}: must be at least 0 and have a finite square")
+
+
 def _mix(h: np.ndarray) -> np.ndarray:
     """The splitmix64 finalizer on uint64 arrays; products wrap modulo 2^64."""
     h = (h ^ (h >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
@@ -308,8 +325,7 @@ def add_noise(table: ExpectationTable, sigma: float, seed) -> ExpectationTable:
     integral seed, which the table records, reproduces every draw.  The identity
     stays 1, entries are not clamped to [-1, 1], and composing adds variances.
     """
-    if sigma < 0:
-        raise ValueError(f"noise standard deviation must be >= 0, got {sigma}")
+    check_noise_level(sigma)
     if sigma == 0:
         return replace(table)
     sequence = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)

@@ -202,6 +202,9 @@ class TestConfig:
             ["gen", "--seed", "-1"],
             ["gen", "--seed", "-1", "--sigma", "1e-6"],
             ["sweep", "--seed", "-1"],
+            # a finite noise level whose square overflows
+            ["gen", "--sigma", "1e200"],
+            ["sweep", "--sigma-grid", "1e200"],
         ],
     )
     def test_bad_flag_value_is_config_error(self, tmp_path, capsys, argv):
@@ -366,6 +369,22 @@ class TestGenLearn:
         assert main(["learn", "--table", str(path)]) == 4
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: BadTable:") and message in err[0]
+
+    @pytest.mark.parametrize(
+        "header",
+        ["noise_sigma = nan", "noise_sigma = inf", "noise_sigma = -inf", "noise_sigma = -1e-3",
+         "noise_sigma = 1e200", "seed = -5"],
+    )
+    def test_learn_bad_noise_header(self, tmp_path, capsys, header):
+        # the noise level sets the W threshold, and a negative seed reproduces no draw
+        assert main(["gen", "--n", "4", "--temperatures", "1", "--out", str(tmp_path)]) == 0
+        path = tmp_path / "table_T1p0.tsv"
+        key = header.split(" = ")[0]
+        path.write_text(re.sub(rf"^# {key} = .*$", f"# {header}", path.read_text(), flags=re.M))
+        capsys.readouterr()
+        assert main(["learn", "--table", str(path)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: BadTable:")
 
     @pytest.mark.parametrize("where", ["missing", "directory"])
     def test_learn_unreadable_table_file(self, tmp_path, capsys, where):

@@ -16,6 +16,7 @@ from gibbslearn.pauli import (
     masks,
     multiply,
     parse_texts,
+    phase_exponent,
     texts,
     unique_masks,
 )
@@ -85,6 +86,26 @@ class TestMultiply:
         assert ph_qp == ph_pq.conjugate()
         overlap_even = p.commutes_with(q)
         assert ph_pq**2 == (1 if overlap_even else -1)
+
+
+class TestPhaseExponent:
+    def test_arrays_match_scalar_calls(self, rng):
+        # masks on all 64 sites, so the top bit is set in about half of them
+        x1, z1 = rng.integers(0, 1 << 64, size=(2, 9), dtype=np.uint64)
+        x2, z2 = rng.integers(0, 1 << 64, size=(2, 7), dtype=np.uint64)
+        got = phase_exponent(x1[:, None], z1[:, None], x2, z2)
+        expect = [
+            [phase_exponent(*map(int, (a, b, c, d))) for c, d in zip(x2, z2)]
+            for a, b in zip(x1, z1)
+        ]
+        assert got.shape == (9, 7) and got.tolist() == expect
+
+    def test_site_63(self):
+        # Y63 X63 = -i Z63, as ints and as uint64 arrays
+        top = 1 << 63
+        assert phase_exponent(top, top, top, 0) == 3
+        arrays = [np.array([m], dtype=np.uint64) for m in (top, top, top, 0)]
+        assert phase_exponent(*arrays).tolist() == [3]
 
 
 class TestCommutator:

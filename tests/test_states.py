@@ -23,6 +23,7 @@ from gibbslearn.states import (
     build_table,
     expectation,
     gibbs_density,
+    read_products,
     read_tsv,
     required_strings,
     write_tsv,
@@ -307,6 +308,33 @@ class TestRequiredStrings:
         assert_same_masks(got, required_strings(b, h))
         keys = list(zip(*(m.tolist() for m in got)))
         assert keys == sorted(set(keys))
+
+    @pytest.mark.parametrize("terms", [11, 0])
+    def test_read_products_index_maps(self, rng, terms):
+        # each index map gives back the masks of its products, with or without terms
+        xb, zb = rng.integers(0, 1 << 8, size=(2, 9), dtype=np.uint64)
+        xt, zt = rng.integers(0, 1 << 8, size=(2, terms), dtype=np.uint64)
+        (u, k), (x, z), (pair, triple, term) = read_products(xb, zb, xt, zt)
+        assert np.array_equal(x[pair], xb[:, None] ^ xb)
+        assert np.array_equal(z[pair], zb[:, None] ^ zb)
+        assert np.array_equal(x[triple], xb ^ xt[u, None] ^ xb[k, None])
+        assert np.array_equal(z[triple], zb ^ zt[u, None] ^ zb[k, None])
+        assert np.array_equal(x[term], xt) and np.array_equal(z[term], zt)
+        assert triple.shape == (len(u), len(xb)) and term.shape == (terms,)
+        anticommuting = [
+            (i, j)
+            for i in range(terms)
+            for j in range(len(xb))
+            if not PauliString(8, int(xt[i]), int(zt[i])).commutes_with(
+                PauliString(8, int(xb[j]), int(zb[j]))
+            )
+        ]
+        assert list(zip(u.tolist(), k.tolist())) == anticommuting
+        # distinct, sorted by (x, z), and each one some product
+        keys = list(zip(x.tolist(), z.tolist()))
+        assert keys == sorted(set(keys))
+        hit = np.concatenate([pair.ravel(), triple.ravel(), term])
+        assert set(hit.tolist()) == set(range(len(x)))
 
     def test_locality_of_products(self):
         from gibbslearn.pauli import enumerate_geometric_k_local
