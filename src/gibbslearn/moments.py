@@ -31,16 +31,15 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatch, GramDegenerate
-from .pauli import PHASES, PauliOperator, PauliString, check_mask_limit, masks, phase_exponent
+from .errors import DimensionMismatch, GibbsLearnError, GramDegenerate
+from .pauli import PHASE_TABLE, PauliOperator, PauliString, check_mask_limit, masks, phase_exponent
 from .states import ExpectationTable, read_products
 
 DEFAULT_GRAM_FLOOR_REL = 1e-10
 EPSILON_W_FLOOR = 1e-11
 
-_PHASE_TABLE = np.array(PHASES)
 # commutator weight i^g - i^(g+2) = 2 i^g of an anticommuting pair
-_COMMUTATOR_TABLE = _PHASE_TABLE - np.roll(_PHASE_TABLE, 2)
+_COMMUTATOR_TABLE = PHASE_TABLE - np.roll(PHASE_TABLE, 2)
 
 
 @dataclass
@@ -67,7 +66,6 @@ class MomentSet:
 
     delta: np.ndarray
     raw_h_mats: np.ndarray  # (s, r, r), as measured
-    w_matrix: np.ndarray
     w_spectrum: np.ndarray
     kernel_coeffs: np.ndarray  # (q, s) real rows
     h_tilde_mats: np.ndarray  # (q, r, r)
@@ -110,7 +108,7 @@ class MomentAssembler:
         )
 
         # phases of every b_l b_k and, as b_l (t_u b_k), of every b_l t_u b_k (module docstring)
-        self._pair_phase = _PHASE_TABLE[phase_exponent(xb[:, None], zb[:, None], xb, zb)]
+        self._pair_phase = PHASE_TABLE[phase_exponent(xb[:, None], zb[:, None], xb, zb)]
         x_tb, z_tb = xt[u] ^ xb[k], zt[u] ^ zb[k]  # (p,)
         g_triple = (
             phase_exponent(xt[u], zt[u], xb[k], zb[k])[:, None]
@@ -128,38 +126,23 @@ class MomentAssembler:
 
     # -- data-dependent assembly ------------------------------------------
 
-    def _values(self, table: ExpectationTable) -> np.ndarray:
+    def matrices(self, table: ExpectationTable) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The Gram matrix, commutator tensor and term expectations, from one gather of the table.
+
+        G_ij = omega(b_i^* b_j), symmetrized to absorb noise asymmetry;
+        F[alpha, l, k] = omega(b_l^* [h_alpha, b_k]); h_alpha = omega(h_alpha).
+        """
         if table.n != self.n:
             raise DimensionMismatch(f"table on {table.n} sites, assembler on {self.n}")
-        return table.lookup(self._x, self._z)
-
-    def gram(self, table: ExpectationTable) -> np.ndarray:
-        """G_ij = omega(b_i^* b_j), symmetrized to absorb noise asymmetry."""
-        return self._gram(self._values(table))
-
-    def h_expectations(self, table: ExpectationTable) -> np.ndarray:
-        return self._h_expectations(self._values(table))
-
-    def commutator_tensor(self, table: ExpectationTable) -> np.ndarray:
-        """F[alpha, l, k] = omega(b_l^* [h_alpha, b_k])."""
-        return self._commutator_tensor(self._values(table))
-
-    # the same three, from values already gathered in the order of the read strings
-
-    def _gram(self, v: np.ndarray) -> np.ndarray:
+        v = table.lookup(self._x, self._z)
         raw = self._pair_phase * v[self._pair_idx]
-        return 0.5 * (raw + raw.conj().T)
-
-    def _h_expectations(self, v: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(self.h_terms))
-        np.add.at(out, self._alpha, self._ct * v[self._term_idx])
-        return out
-
-    def _commutator_tensor(self, v: np.ndarray) -> np.ndarray:
+        gram = 0.5 * (raw + raw.conj().T)
         # F[alpha, l, k] sums c_u omega(b_l [t_u, b_k]) over the strings u of h_alpha, in u order
-        out = np.zeros((len(self.h_terms), len(self.b), len(self.b)), dtype=complex)
-        np.add.at(out, self._comm_scatter, self._comm_weight * v[self._triple_idx])
-        return out
+        f_stack = np.zeros((len(self.h_terms), len(self.b), len(self.b)), dtype=complex)
+        np.add.at(f_stack, self._comm_scatter, self._comm_weight * v[self._triple_idx])
+        h_expectations = np.zeros(len(self.h_terms))
+        np.add.at(h_expectations, self._alpha, self._ct * v[self._term_idx])
+        return gram, f_stack, h_expectations
 
     def moment_set(
         self,
@@ -167,17 +150,19 @@ class MomentAssembler:
         gram_floor: Optional[float] = None,
         epsilon_w_value: Optional[float] = None,
     ) -> Tuple[OrthoBasis, MomentSet]:
-        """Run Steps 1 and 2 on a table; the threshold defaults to the noise formula."""
+        """Run Steps 1 and 2 on a table; the threshold defaults to the noise formula.
+
+        A table whose noise level sends that formula to infinity raises
+        GibbsLearnError: such a threshold would admit every direction.
+        """
         if epsilon_w_value is None:
             epsilon_w_value = epsilon_w(table.noise_sigma, self.commutator_term_count)
-        v = self._values(table)
-        return assemble_from_matrices(
-            self._gram(v),
-            self._commutator_tensor(v),
-            self._h_expectations(v),
-            epsilon_w_value,
-            gram_floor=gram_floor,
-        )
+            if not math.isfinite(epsilon_w_value):
+                raise GibbsLearnError(
+                    f"noise level {table.noise_sigma!r} overflows the W threshold "
+                    f"400 sigma^2 sqrt(m) with m = {self.commutator_term_count}"
+                )
+        return assemble_from_matrices(*self.matrices(table), epsilon_w_value, gram_floor=gram_floor)
 
 
 # -- standalone single-step operations ---------------------------------------
@@ -205,21 +190,20 @@ def delta_from_gram(gram_sym: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return 0.5 * (delta + delta.conj().T)
 
 
-def build_w(raw_h_mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gram matrix W of the anti-Hermitian defects of the raw moment matrices.
+def build_w(raw_h_mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Spectrum of the quasi-symmetry matrix W of the raw moment matrices.
 
-    Returns W, then the eigenvalues (ascending) and eigenvectors (columns) of
-    its real part, from one diagonalization: the Hamiltonian coefficients
-    are real.  Negative numerical dust in the eigenvalues is clipped to zero.
+    W_ab = Re tr(D_a^dag D_b) for their anti-Hermitian defects
+    D_a = M_a - M_a^dag, real because the Hamiltonian coefficients are.
+    Returns the eigenvalues (ascending) and eigenvectors (columns) of W,
+    with negative numerical dust in the eigenvalues clipped to zero.
     """
     raw = np.asarray(raw_h_mats)
-    defects = raw - raw.conj().transpose(0, 2, 1)
-    flat = defects.reshape(raw.shape[0], -1)
-    w = flat.conj() @ flat.T
-    spectrum, eigenvectors = scipy.linalg.eigh(0.5 * (w + w.conj()).real)
+    flat = (raw - raw.conj().transpose(0, 2, 1)).reshape(raw.shape[0], -1)
+    spectrum, eigenvectors = scipy.linalg.eigh((flat.conj() @ flat.T).real)
     scale = max(1.0, float(np.abs(spectrum).max())) if spectrum.size else 1.0
     spectrum = np.where((spectrum < 0) & (spectrum > -1e-12 * scale), 0.0, spectrum)
-    return w, spectrum, eigenvectors
+    return spectrum, eigenvectors
 
 
 def epsilon_w(sigma_noise: float, m: int) -> float:
@@ -238,8 +222,8 @@ def kernel_basis(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Near-kernel of W: directions whose commutator moments are Hermitian.
 
-    Takes the ascending eigenvalues and the eigenvectors of the real part of
-    W, as ``build_w`` returns them, and keeps the eigenvectors whose
+    Takes the ascending eigenvalues and the eigenvectors of W, as
+    ``build_w`` returns them, and keeps the eigenvectors whose
     eigenvalue is below the threshold; q = 0 means no candidate direction
     survives and the caller terminates with the corresponding verdict.
     """
@@ -267,15 +251,15 @@ def assemble_from_matrices(
     coeffs = ortho.coeffs
     delta = delta_from_gram(gram_sym, coeffs)
     raw = coeffs.conj().T[None, :, :] @ np.asarray(f_stack, dtype=complex) @ coeffs
+    # W first: its defects are freed before the Hermitian parts are formed
+    w_spectrum, w_eigenvectors = build_w(raw)
     sym = 0.5 * (raw + raw.conj().transpose(0, 2, 1))
-    w_matrix, w_spectrum, w_eigenvectors = build_w(raw)
     kernel_coeffs, h_tilde_mats, h_tilde_exps = kernel_basis(
         w_spectrum, w_eigenvectors, epsilon_w_value, h_expectations, sym
     )
     moment_set = MomentSet(
         delta=delta,
         raw_h_mats=raw,
-        w_matrix=w_matrix,
         w_spectrum=w_spectrum,
         kernel_coeffs=kernel_coeffs,
         h_tilde_mats=h_tilde_mats,

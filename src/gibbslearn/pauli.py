@@ -22,6 +22,7 @@ import numpy as np
 from .errors import ConfigError, DenseLimitExceeded, DimensionMismatch
 
 PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
+PHASE_TABLE = np.array(PHASES)  # i^g for an array of exponents g
 
 _CODE_LETTERS = ("I", "X", "Z", "Y")  # indexed by the code x_bit | z_bit << 1
 _LETTER_CODES = {letter: code for code, letter in enumerate(_CODE_LETTERS) if code}

@@ -23,8 +23,6 @@ from .pauli import PauliOperator, PauliString
 
 GATHER_ENTRIES = 1 << 20  # density-matrix entries build_table gathers at once
 
-_PHASE_TABLE = np.array(pauli.PHASES)
-
 
 def n_sites(rho: np.ndarray) -> int:
     """The site count n of a state, a 2^n x 2^n matrix; any other shape raises DimensionMismatch."""
@@ -268,7 +266,7 @@ def build_table(rho: np.ndarray, strings: Tuple[np.ndarray, np.ndarray]) -> Expe
     xi = pauli.index_masks(x, n)
     zi = pauli.index_masks(z, n)
     x_masks, which = np.unique(xi, return_inverse=True)
-    phases = _PHASE_TABLE[np.bitwise_count(x & z) % 4]
+    phases = pauli.PHASE_TABLE[np.bitwise_count(x & z) % 4]
     dim = 1 << n
     basis = np.arange(dim)
     flat = rho.ravel()

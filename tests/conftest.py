@@ -1,3 +1,10 @@
+import os
+
+# one BLAS thread, unless the caller sets another count: solver iteration
+# counts, and so results, depend on it (set before numpy loads BLAS)
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import sys
 from pathlib import Path
 

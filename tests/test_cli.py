@@ -386,6 +386,20 @@ class TestGenLearn:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: BadTable:")
 
+    def test_learn_noise_level_overflowing_w_threshold(self, tmp_path, capsys):
+        # sigma = 1e153 has a finite square, but 400 sigma^2 sqrt(m) overflows:
+        # an infinite W threshold would admit every direction as a Candidate
+        assert main(["gen", "--n", "4", "--temperatures", "1", "--out", str(tmp_path)]) == 0
+        path = tmp_path / "table_T1p0.tsv"
+        header = re.compile(r"^# noise_sigma = .*$", re.M)
+        path.write_text(header.sub("# noise_sigma = 1e153", path.read_text()))
+        capsys.readouterr()
+        assert main(["learn", "--table", str(path)]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "error: GibbsLearnError: noise level 1e+153 overflows the W threshold "
+            "400 sigma^2 sqrt(m) with m = 21996"
+        ]
+
     @pytest.mark.parametrize("where", ["missing", "directory"])
     def test_learn_unreadable_table_file(self, tmp_path, capsys, where):
         path = tmp_path / "table.tsv"
@@ -639,6 +653,15 @@ class TestSweep:
             for r in records
         )
         assert aggregates[0]["runs"] == 2
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_noise_level_overflowing_w_threshold(self, tmp_path, capsys, workers):
+        argv = ["--n", "3", "--temperatures", "1", "--sigma-grid", "1e153", "--runs-per-point",
+                "1", "--workers", workers, "--out-dir", str(tmp_path / "out")]
+        assert main(["sweep", *argv]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: GibbsLearnError: noise level 1")
+        assert "overflows the W threshold" in err[0]
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_truth_outside_basis(self, tmp_path, capsys, workers):

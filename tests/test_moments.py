@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -42,7 +44,7 @@ class TestGram:
         b = all_strings(2, include_identity=False)
         products = {PauliString(2, p.x ^ q.x, p.z ^ q.z) for p in b for q in b}
         table = build_table(rho, masks(list(products)))
-        gram = MomentAssembler(b, []).gram(table)
+        gram, _, _ = MomentAssembler(b, []).matrices(table)
         assert np.abs(gram - np.eye(len(b))).max() < 1e-13
 
     def test_single_qubit_thermal_gram(self):
@@ -50,14 +52,14 @@ class TestGram:
         rho = gibbs_density(h, 1.0)
         b = [PauliString.from_text("X0", 1), PauliString.from_text("Y0", 1)]
         table = build_table(rho, masks(all_strings(1)))
-        gram = MomentAssembler(b, []).gram(table)
+        gram, _, _ = MomentAssembler(b, []).matrices(table)
         t = np.tanh(1.0)
         expected = np.array([[1.0, 1j * t], [-1j * t, 1.0]])
         assert np.abs(gram - expected).max() < 1e-12
 
     def test_faithful_state_positive(self, rng):
         _, _, _, _, asm, _, table = make_setup(2, 0.9, rng)
-        evals = scipy.linalg.eigvalsh(asm.gram(table))
+        evals = scipy.linalg.eigvalsh(asm.matrices(table)[0])
         assert evals.min() > 0
 
 
@@ -91,7 +93,7 @@ class TestDeltaAndH:
         b = all_strings(2, include_identity=False)
         asm = MomentAssembler(b, [])
         table = build_table(rho, required_strings(b, []))
-        gram = asm.gram(table)
+        gram, _, _ = asm.matrices(table)
         delta = delta_from_gram(gram, orthonormalize(gram).coeffs)
         assert np.abs(delta - np.eye(len(b))).max() < 1e-12
 
@@ -104,7 +106,7 @@ class TestDeltaAndH:
         b = [PauliString.from_text("X0", 1), PauliString.from_text("Y0", 1)]
         asm = MomentAssembler(b, [])
         table = build_table(rho, required_strings(b, []))
-        gram = asm.gram(table)
+        gram, _, _ = asm.matrices(table)
         delta = delta_from_gram(gram, orthonormalize(gram).coeffs)
         got = np.sort(scipy.linalg.eigvalsh(delta))
         expected = np.sort([np.exp(-2.0 / t), np.exp(2.0 / t)])
@@ -151,8 +153,9 @@ class TestDeltaAndH:
         b = [PauliString.from_text("Z0", 2), PauliString.from_text("Z1", 2)]
         table = build_table(rho, masks(all_strings(2)))
         asm = MomentAssembler(b, [PauliOperator.from_terms(2, [(1.0, "Z0 Z1")])])
-        coeffs = orthonormalize(asm.gram(table)).coeffs
-        raw = coeffs.conj().T @ asm.commutator_tensor(table)[0] @ coeffs
+        gram, f_stack, _ = asm.matrices(table)
+        coeffs = orthonormalize(gram).coeffs
+        raw = coeffs.conj().T @ f_stack[0] @ coeffs
         sym = 0.5 * (raw + raw.conj().T)
         assert np.abs(raw).max() < 1e-12
         assert np.abs(sym).max() < 1e-12
@@ -175,7 +178,7 @@ class TestModularCongruence:
             for sigma in sigmas:
                 for seed in (11, 12, 13):
                     table = add_noise(exact, sigma, seed)
-                    gram = asm.gram(table)
+                    gram, _, _ = asm.matrices(table)
                     # swapped[i, j] = omega(b_j b_i)
                     strings, phases = zip(*(multiply(bj, bi) for bi in b for bj in b))
                     swapped = np.array(phases) * table.lookup(*masks(strings))
@@ -209,14 +212,13 @@ class TestW:
         asm = MomentAssembler(b, h_terms)
         table = build_table(rho, required_strings(b, h_terms))
         _, moments = asm.moment_set(table)
-        assert np.abs(moments.w_matrix).max() < 1e-12
+        assert np.abs(moments.w_spectrum).max() < 1e-12
 
     def test_rank_one_positivity(self, rng):
         raw = rng.normal(size=(1, 5, 5)) + 1j * rng.normal(size=(1, 5, 5))
-        w, spectrum, _ = build_w(raw)
+        spectrum, _ = build_w(raw)
         anti = raw[0] - raw[0].conj().T
-        assert abs(w[0, 0].real - np.abs(anti) .ravel() @ np.abs(anti).ravel()) < 1e-10
-        assert w[0, 0].real >= 0
+        assert abs(spectrum[0] - np.abs(anti).ravel() @ np.abs(anti).ravel()) < 1e-10
         assert spectrum.min() >= 0
 
     def test_true_hamiltonian_in_kernel(self, rng):
@@ -229,9 +231,11 @@ class TestW:
         rho = gibbs_density(h, 1.0)
         table = build_table(rho, required_strings(b, h_terms))
         _, moments = asm.moment_set(table)
-        w_real = 0.5 * (moments.w_matrix + moments.w_matrix.conj()).real
-        quad = z @ w_real @ z
-        scale = max(1.0, np.abs(w_real).max()) * float(z @ z)
+        raw = moments.raw_h_mats
+        defects = raw - raw.conj().transpose(0, 2, 1)
+        # z^T W z = ||sum_a z_a D_a||^2; W's largest entry is a diagonal one, max_a ||D_a||^2
+        quad = np.linalg.norm(np.tensordot(z, defects, axes=1)) ** 2
+        scale = max(1.0, (np.abs(defects) ** 2).sum(axis=(1, 2)).max()) * float(z @ z)
         assert quad <= 1e-16 * scale
 
 
@@ -295,9 +299,7 @@ class TestBasisIndependence:
         # an invertible recombination and compare the assembled pipeline
         n = 2
         _, _, b, h_terms, asm, rho, table = make_setup(n, 1.1, rng)
-        gram = asm.gram(table)
-        f_stack = asm.commutator_tensor(table)
-        h_exps = asm.h_expectations(table)
+        gram, f_stack, h_exps = asm.matrices(table)
         eps = 4e-9
 
         _, base = assemble_from_matrices(gram, f_stack, h_exps, eps)
@@ -378,9 +380,10 @@ class TestExactAssembly:
         h_exps = np.array([omega(PauliString.identity(3), h).real for h in h_terms])
 
         assert np.abs(f_stack).max() > 0.1
-        assert np.abs(asm.gram(table) - gram).max() <= 1e-14
-        assert np.abs(asm.commutator_tensor(table) - f_stack).max() <= 1e-14
-        assert np.abs(asm.h_expectations(table) - h_exps).max() <= 1e-14
+        got_gram, got_f, got_h = asm.matrices(table)
+        assert np.abs(got_gram - gram).max() <= 1e-14
+        assert np.abs(got_f - f_stack).max() <= 1e-14
+        assert np.abs(got_h - h_exps).max() <= 1e-14
 
     def test_commutator_term_count(self, rng):
         b, h_terms, asm, _ = self.make_case(rng)
@@ -397,6 +400,25 @@ class TestSiteCount:
         asm = MomentAssembler(enumerate_geometric_k_local(3, 2), [])
         table = build_table(gibbs_density(xxz_chain(4), 1.0), masks(all_strings(4)))
         with pytest.raises(DimensionMismatch, match="table on 4 sites, assembler on 3"):
-            asm.gram(table)
+            asm.matrices(table)
         with pytest.raises(DimensionMismatch):
             asm.moment_set(table)
+
+
+class TestFootprint:
+    def test_moment_set_peak_memory(self):
+        # Step 2 on the n=6 XXZ 2-local string basis (r = s = 63) holds at
+        # most four (s, r, r) complex tensors at once, plus small change
+        b = enumerate_geometric_k_local(6, 2)
+        h_terms = string_basis_operators(b)
+        asm = MomentAssembler(b, h_terms)
+        table = build_table(gibbs_density(xxz_chain(6), 1.0), required_strings(b, h_terms))
+        asm.moment_set(table)  # first call loads what later calls reuse
+        tracemalloc.start()
+        try:
+            asm.moment_set(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tensor = len(h_terms) * len(b) ** 2 * 16
+        assert peak < 4.5 * tensor, peak / tensor
