@@ -7,6 +7,14 @@ margin certifies whether the state can be thermal for the candidate terms.
 A brute-force GNS oracle provides independent ground truth at small sizes.
 """
 
+import os
+
+# one BLAS thread unless the caller sets a count: solver iteration counts, and
+# so results, follow it, and BLAS reads it once, when numpy loads
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .errors import (
     BadTable,
     ConfigError,

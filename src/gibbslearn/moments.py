@@ -13,6 +13,11 @@ with plain array gathers.  It holds only the products its moments read
 (``states.read_products``); a table needs no other string, and a missing one
 raises IncompleteData naming it.
 
+A term's commutator moments F_alpha[l, k] = omega(b_l^* [h_alpha, b_k]) vanish
+outside the c <= r columns k where some string of h_alpha anticommutes with
+b_k, so they are kept as per-term column factors and never as a dense
+(s, r, r) tensor; Step 2 works on the factors (``assemble_from_matrices``).
+
 Every phase is ``pauli.phase_exponent``, the product rule of Aaronson and
 Gottesman (2004) for two strings: b_l b_k = i^g(b_l, b_k) (b_l b_k as a
 string), and a triple is two products, so b_l t_u b_k = b_l (t_u b_k) has
@@ -65,7 +70,6 @@ class MomentSet:
     """All Step-1/Step-2 matrices plus the thresholds used to build them."""
 
     delta: np.ndarray
-    raw_h_mats: np.ndarray  # (s, r, r), as measured
     w_spectrum: np.ndarray
     kernel_coeffs: np.ndarray  # (q, s) real rows
     h_tilde_mats: np.ndarray  # (q, r, r)
@@ -116,33 +120,45 @@ class MomentAssembler:
         ) % 4
         # c_u omega(b_l [t_u, b_k]) = c_u 2 i^g omega(b_l t_u b_k) on the pair (u, k)
         self._comm_weight = _COMMUTATOR_TABLE[g_triple] * self._ct[u, None]
-        self._comm_scatter = (self._alpha[u], slice(None), k)  # F[alpha_u, :, k] for pair (u, k)
+
+        # F_alpha = F[alpha] is zero outside the columns K_alpha: the b_k that some
+        # string of h_alpha anticommutes with.  ``columns[alpha]`` lists K_alpha in
+        # ascending order, padded with -1 to the longest list, and pair (u, k)
+        # scatters into the slot (alpha_u, j) with K_alpha[j] = k
+        r = len(self.b)
+        keys, slot = np.unique(self._alpha[u] * r + k, return_inverse=True)
+        key_alpha, key_k = np.divmod(keys, r)
+        key_j = np.arange(len(keys)) - np.searchsorted(key_alpha, key_alpha)
+        self.columns = np.full((len(self.h_terms), int(key_j.max(initial=-1)) + 1), -1)
+        self.columns[key_alpha, key_j] = key_k
+        self._comm_slot = (self._alpha[u], key_j[slot])
 
         # structural count of nonzero commutator triples for the W threshold:
         # every (i, alpha, j) with [h_alpha, b_j] structurally nonzero
-        pair_nonzero = np.zeros((len(self.h_terms), len(self.b)), dtype=bool)
-        pair_nonzero[self._alpha[u], k] = True
-        self.commutator_term_count = int(len(self.b) * pair_nonzero.sum())
+        self.commutator_term_count = r * len(keys)
 
     # -- data-dependent assembly ------------------------------------------
 
     def matrices(self, table: ExpectationTable) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The Gram matrix, commutator tensor and term expectations, from one gather of the table.
+        """The Gram matrix, commutator factors and term expectations, from one gather of the table.
 
         G_ij = omega(b_i^* b_j), symmetrized to absorb noise asymmetry;
-        F[alpha, l, k] = omega(b_l^* [h_alpha, b_k]); h_alpha = omega(h_alpha).
+        factors[alpha] = F_alpha[:, K_alpha] with K_alpha = ``columns[alpha]``,
+        of F_alpha[l, k] = omega(b_l^* [h_alpha, b_k]), and padding columns of
+        exact zeros; h_alpha = omega(h_alpha).
         """
         if table.n != self.n:
             raise DimensionMismatch(f"table on {table.n} sites, assembler on {self.n}")
         v = table.lookup(self._x, self._z)
         raw = self._pair_phase * v[self._pair_idx]
         gram = 0.5 * (raw + raw.conj().T)
-        # F[alpha, l, k] sums c_u omega(b_l [t_u, b_k]) over the strings u of h_alpha, in u order
-        f_stack = np.zeros((len(self.h_terms), len(self.b), len(self.b)), dtype=complex)
-        np.add.at(f_stack, self._comm_scatter, self._comm_weight * v[self._triple_idx])
+        # F_alpha[:, k] sums c_u omega(b_l [t_u, b_k]) over the strings u of h_alpha, in u order;
+        # held as (s, c, r) rows, so the (s, r, c) factors are a transposed view
+        rows = np.zeros((len(self.h_terms), self.columns.shape[1], len(self.b)), dtype=complex)
+        np.add.at(rows, self._comm_slot, self._comm_weight * v[self._triple_idx])
         h_expectations = np.zeros(len(self.h_terms))
         np.add.at(h_expectations, self._alpha, self._ct * v[self._term_idx])
-        return gram, f_stack, h_expectations
+        return gram, rows.transpose(0, 2, 1), h_expectations
 
     def moment_set(
         self,
@@ -152,17 +168,24 @@ class MomentAssembler:
     ) -> Tuple[OrthoBasis, MomentSet]:
         """Run Steps 1 and 2 on a table; the threshold defaults to the noise formula.
 
-        A table whose noise level sends that formula to infinity raises
-        GibbsLearnError: such a threshold would admit every direction.
+        A threshold that is not finite and positive raises GibbsLearnError: an
+        infinite one admits every direction and one at or below 0 none.  With
+        the default this is a noise level that sends the formula to infinity.
         """
-        if epsilon_w_value is None:
+        default = epsilon_w_value is None
+        if default:
             epsilon_w_value = epsilon_w(table.noise_sigma, self.commutator_term_count)
-            if not math.isfinite(epsilon_w_value):
+        if not (math.isfinite(epsilon_w_value) and epsilon_w_value > 0):
+            if default:
                 raise GibbsLearnError(
                     f"noise level {table.noise_sigma!r} overflows the W threshold "
                     f"400 sigma^2 sqrt(m) with m = {self.commutator_term_count}"
                 )
-        return assemble_from_matrices(*self.matrices(table), epsilon_w_value, gram_floor=gram_floor)
+            raise GibbsLearnError(f"W threshold {epsilon_w_value!r}: must be finite and positive")
+        gram, factors, h_expectations = self.matrices(table)
+        return assemble_from_matrices(
+            gram, factors, self.columns, h_expectations, epsilon_w_value, gram_floor=gram_floor
+        )
 
 
 # -- standalone single-step operations ---------------------------------------
@@ -190,17 +213,37 @@ def delta_from_gram(gram_sym: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return 0.5 * (delta + delta.conj().T)
 
 
-def build_w(raw_h_mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Spectrum of the quasi-symmetry matrix W of the raw moment matrices.
+def commutator_defects(coeffs: np.ndarray, factors: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Anti-Hermitian parts D_a = M_a - M_a^dag of the moment matrices M_a = C^dag F_a C.
 
-    W_ab = Re tr(D_a^dag D_b) for their anti-Hermitian defects
-    D_a = M_a - M_a^dag, real because the Hamiltonian coefficients are.
+    F_a is given by its factor F_a[:, K_a] = ``factors[a]`` (s, r, c) on the
+    columns K_a = ``columns[a]``.  With L_a = C^dag F_a[:, K_a] (one gemm for
+    every a) and the gather R_a = C[K_a, :], M_a = L_a R_a, so
+    D_a = [L_a | R_a^dag] [R_a; -L_a^dag] is one batched product of inner
+    size 2c: 2 s r^2 c complex multiply-adds, not 2 s r^3.
+    """
+    s, r, c = factors.shape
+    # L_a^T = F_a[:, K_a]^T conj(C), all terms at once
+    left_t = (np.reshape(factors.transpose(0, 2, 1), (s * c, r)) @ coeffs.conj()).reshape(s, c, r)
+    right = coeffs[columns]
+    lhs_t = np.concatenate([left_t, right.conj()], axis=1)  # [L_a | R_a^dag]^T
+    rhs = np.concatenate([right, -left_t.conj()], axis=1)
+    del left_t, right
+    return lhs_t.transpose(0, 2, 1) @ rhs
+
+
+def build_w(defects: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Spectrum of the quasi-symmetry matrix W of anti-Hermitian defects D_a.
+
+    W_ab = Re tr(D_a^dag D_b), real because the Hamiltonian coefficients
+    are: the product of the defects' float views with their transpose.
     Returns the eigenvalues (ascending) and eigenvectors (columns) of W,
     with negative numerical dust in the eigenvalues clipped to zero.
     """
-    raw = np.asarray(raw_h_mats)
-    flat = (raw - raw.conj().transpose(0, 2, 1)).reshape(raw.shape[0], -1)
-    spectrum, eigenvectors = scipy.linalg.eigh((flat.conj() @ flat.T).real)
+    defects = np.ascontiguousarray(defects, dtype=complex)
+    s, r, _ = defects.shape
+    flat = defects.view(float).reshape(s, 2 * r * r)
+    spectrum, eigenvectors = scipy.linalg.eigh(flat @ flat.T)
     scale = max(1.0, float(np.abs(spectrum).max())) if spectrum.size else 1.0
     spectrum = np.where((spectrum < 0) & (spectrum > -1e-12 * scale), 0.0, spectrum)
     return spectrum, eigenvectors
@@ -218,7 +261,9 @@ def kernel_basis(
     eigenvectors: np.ndarray,
     epsilon: float,
     h_expectations: np.ndarray,
-    sym_h_mats: np.ndarray,
+    coeffs: np.ndarray,
+    factors: np.ndarray,
+    columns: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Near-kernel of W: directions whose commutator moments are Hermitian.
 
@@ -226,23 +271,48 @@ def kernel_basis(
     ``build_w`` returns them, and keeps the eigenvectors whose
     eigenvalue is below the threshold; q = 0 means no candidate direction
     survives and the caller terminates with the corresponding verdict.
+    For each kept direction k_a, H~_a = herm(C^dag (sum_alpha k_a,alpha F_alpha) C)
+    is formed from the factors (columns of -1 are padding) in the reference
+    basis: q r^2 memory.
     """
     q = int(np.count_nonzero(spectrum < epsilon))
     kernel_coeffs = eigenvectors[:, :q].T.copy()
-    h_tilde_mats = np.einsum("qs,sij->qij", kernel_coeffs, sym_h_mats)
+    r = factors.shape[1]
+    # sum_alpha k_a,alpha F_alpha column by column of F: slot (alpha, j) fills column
+    # K_alpha[j], and the slots of column k form rank-ordered rows of one batched product
+    alpha, j = np.nonzero(columns >= 0)
+    column = columns[alpha, j]
+    order = np.argsort(column, kind="stable")
+    alpha, j, column = alpha[order], j[order], column[order]
+    rank = np.arange(len(column)) - np.searchsorted(column, column)
+    width = int(rank.max(initial=-1)) + 1
+    weights = np.zeros((r, q, width))
+    weights[column, :, rank] = kernel_coeffs[:, alpha].T
+    slots = np.zeros((r, width, r), dtype=complex)
+    slots[column, rank] = factors[alpha, :, j]
+    kernel_f = (weights @ slots).transpose(1, 2, 0)  # (q, r, r), column k from batch k
+    del weights, slots
+    h_tilde_mats = np.empty((q, r, r), dtype=complex)
+    for a, f in enumerate(kernel_f):
+        moment = coeffs.conj().T @ f @ coeffs
+        h_tilde_mats[a] = 0.5 * (moment + moment.conj().T)
     h_tilde_expectations = kernel_coeffs @ np.asarray(h_expectations)
     return kernel_coeffs, h_tilde_mats, h_tilde_expectations
 
 
 def assemble_from_matrices(
     gram_sym: np.ndarray,
-    f_stack: np.ndarray,
+    factors: np.ndarray,
+    columns: np.ndarray,
     h_expectations: np.ndarray,
     epsilon_w_value: float,
     gram_floor: Optional[float] = None,
 ) -> Tuple[OrthoBasis, MomentSet]:
     """Matrix-level pipeline seam: Gram and commutator data already assembled.
 
+    The commutator moments come as factors F_a[:, K_a] (s, r, c) on column
+    lists K_a (s, c), as ``MomentAssembler.matrices`` and ``columns`` give
+    them; dense F passes with every K_a = 0, ..., r - 1.
     The reconstruction outcome depends only on the span of the perturbing
     operators, so callers may feed data transformed by any invertible real
     recombination of the basis, which keeps the operators self-adjoint.
@@ -250,16 +320,15 @@ def assemble_from_matrices(
     ortho = orthonormalize(gram_sym, gram_floor=gram_floor)
     coeffs = ortho.coeffs
     delta = delta_from_gram(gram_sym, coeffs)
-    raw = coeffs.conj().T[None, :, :] @ np.asarray(f_stack, dtype=complex) @ coeffs
-    # W first: its defects are freed before the Hermitian parts are formed
-    w_spectrum, w_eigenvectors = build_w(raw)
-    sym = 0.5 * (raw + raw.conj().transpose(0, 2, 1))
+    # D is the one (s, r, r) array, freed before the kernel matrices are formed
+    defects = commutator_defects(coeffs, factors, columns)
+    w_spectrum, w_eigenvectors = build_w(defects)
+    del defects
     kernel_coeffs, h_tilde_mats, h_tilde_exps = kernel_basis(
-        w_spectrum, w_eigenvectors, epsilon_w_value, h_expectations, sym
+        w_spectrum, w_eigenvectors, epsilon_w_value, h_expectations, coeffs, factors, columns
     )
     moment_set = MomentSet(
         delta=delta,
-        raw_h_mats=raw,
         w_spectrum=w_spectrum,
         kernel_coeffs=kernel_coeffs,
         h_tilde_mats=h_tilde_mats,

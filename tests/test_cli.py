@@ -1,7 +1,10 @@
 import argparse
 import csv
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +28,7 @@ from gibbslearn.states import ExpectationTable, build_table, gibbs_density, requ
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # a value other than the default for every [experiment] key
 KEY_VALUES = {
@@ -794,3 +798,22 @@ class TestParser:
         for name, flags in table:
             taken = {s for a in sub.choices[name]._actions for s in a.option_strings}
             assert taken - {"-h", "--help"} == set(flags.split()), name
+
+
+@pytest.mark.parametrize("given, expect", [(None, "1"), ("2", "2")], ids=["unset", "set-to-2"])
+def test_import_pins_one_blas_thread_unless_set(given, expect):
+    # importing the package sets each BLAS thread count to 1 before numpy
+    # loads, so the CLI and sweep workers run one thread; a set count wins
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {key: value for key, value in os.environ.items() if key not in names}
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), env.get("PYTHONPATH", "")])
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    script = (
+        "import os, sys; import gibbslearn; assert 'numpy' in sys.modules; "
+        f"print(*(os.environ.get(name) for name in {names!r}))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == [expect, "1", "1"]

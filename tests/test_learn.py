@@ -5,6 +5,7 @@ import pytest
 
 from gibbslearn.errors import (
     DeltaNotPositive,
+    GibbsLearnError,
     IncompleteData,
     NormalizationDegenerate,
     SolverFailure,
@@ -216,6 +217,19 @@ class TestReconstructSmall:
                 assert result.mu_star < 1e-3
         except GramDegenerate:
             pass
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, -1.0, 0.0, math.inf])
+def test_explicit_epsilon_w_must_be_finite_and_positive(epsilon):
+    # at or below 0 no direction passes (NotStationary, q = 0) and at inf every
+    # one does (Candidate, q = 39 of 39): neither is a statement about the data
+    n = 4
+    b = enumerate_geometric_k_local(n, 2)
+    h_terms = string_basis_operators(b)
+    asm = MomentAssembler(b, h_terms)
+    table = build_table(gibbs_density(xxz_chain(n), 1.0), required_strings(b, h_terms))
+    with pytest.raises(GibbsLearnError, match=rf"^W threshold {epsilon!r}: must be finite and positive$"):
+        reconstruct(table, asm, ReconstructOptions(epsilon_w=epsilon))
 
 
 class TestCentralPath:

@@ -10,6 +10,7 @@ from gibbslearn.moments import (
     MomentAssembler,
     assemble_from_matrices,
     build_w,
+    commutator_defects,
     delta_from_gram,
     epsilon_w,
     kernel_basis,
@@ -36,6 +37,14 @@ def make_setup(n, temperature, rng, b=None, h_strings=None):
     rho = gibbs_density(h, temperature)
     table = build_table(rho, required_strings(b, h_terms))
     return h, z, b, h_terms, asm, rho, table
+
+
+def densify(factors, columns, r):
+    """The dense (s, r, r) F of factors F_a[:, K_a] on column lists K_a (-1 is padding)."""
+    f_stack = np.zeros((len(factors), r, r), dtype=complex)
+    for f, factor, cols in zip(f_stack, factors, columns):
+        f[:, cols[cols >= 0]] = factor[:, cols >= 0]
+    return f_stack
 
 
 class TestGram:
@@ -139,13 +148,17 @@ class TestDeltaAndH:
     def test_h_matrix_matches_gns(self, rng):
         for n in (1, 2, 3):
             _, _, b, h_terms, asm, rho, table = make_setup(n, 0.9, rng)
-            ortho, moments = asm.moment_set(table)
+            gram, factors, _ = asm.matrices(table)
+            coeffs = orthonormalize(gram).coeffs
+            raw = coeffs.conj().T @ densify(factors, asm.columns, len(b)) @ coeffs
+            defects = commutator_defects(coeffs, factors, asm.columns)
             space = build_gns(rho)
-            vecs = np.column_stack([space.vector(p) for p in b]) @ ortho.coeffs
+            vecs = np.column_stack([space.vector(p) for p in b]) @ coeffs
             proj = vecs.conj().T
             for alpha, op in enumerate(h_terms):
                 oracle = proj @ space.gns_hamiltonian(op) @ proj.conj().T
-                assert np.abs(moments.raw_h_mats[alpha] - oracle).max() < 1e-9
+                assert np.abs(raw[alpha] - oracle).max() < 1e-9
+                assert np.abs(defects[alpha] - (oracle - oracle.conj().T)).max() < 1e-9
 
     def test_commuting_term_gives_zero_matrix(self):
         h = PauliOperator.from_terms(2, [(-0.7, "Z0"), (-0.7, "Z1")])
@@ -153,12 +166,16 @@ class TestDeltaAndH:
         b = [PauliString.from_text("Z0", 2), PauliString.from_text("Z1", 2)]
         table = build_table(rho, masks(all_strings(2)))
         asm = MomentAssembler(b, [PauliOperator.from_terms(2, [(1.0, "Z0 Z1")])])
-        gram, f_stack, _ = asm.matrices(table)
+        gram, factors, _ = asm.matrices(table)
+        assert factors.shape == (1, 2, 0)  # no column anticommutes: c = 0
         coeffs = orthonormalize(gram).coeffs
-        raw = coeffs.conj().T @ f_stack[0] @ coeffs
+        raw = coeffs.conj().T @ densify(factors, asm.columns, len(b))[0] @ coeffs
         sym = 0.5 * (raw + raw.conj().T)
         assert np.abs(raw).max() < 1e-12
         assert np.abs(sym).max() < 1e-12
+        assert np.abs(commutator_defects(coeffs, factors, asm.columns)).max() == 0
+        _, moments = asm.moment_set(table)
+        assert moments.q == 1 and np.abs(moments.h_tilde_mats).max() == 0
 
 
 class TestModularCongruence:
@@ -216,8 +233,8 @@ class TestW:
 
     def test_rank_one_positivity(self, rng):
         raw = rng.normal(size=(1, 5, 5)) + 1j * rng.normal(size=(1, 5, 5))
-        spectrum, _ = build_w(raw)
         anti = raw[0] - raw[0].conj().T
+        spectrum, _ = build_w(anti[None])
         assert abs(spectrum[0] - np.abs(anti).ravel() @ np.abs(anti).ravel()) < 1e-10
         assert spectrum.min() >= 0
 
@@ -230,9 +247,8 @@ class TestW:
         asm = MomentAssembler(b, h_terms)
         rho = gibbs_density(h, 1.0)
         table = build_table(rho, required_strings(b, h_terms))
-        _, moments = asm.moment_set(table)
-        raw = moments.raw_h_mats
-        defects = raw - raw.conj().transpose(0, 2, 1)
+        gram, factors, _ = asm.matrices(table)
+        defects = commutator_defects(orthonormalize(gram).coeffs, factors, asm.columns)
         # z^T W z = ||sum_a z_a D_a||^2; W's largest entry is a diagonal one, max_a ||D_a||^2
         quad = np.linalg.norm(np.tensordot(z, defects, axes=1)) ** 2
         scale = max(1.0, (np.abs(defects) ** 2).sum(axis=(1, 2)).max()) * float(z @ z)
@@ -257,9 +273,11 @@ class TestKernel:
         w = np.zeros((3, 3))
         _, evecs = scipy.linalg.eigh(w)
         kc, mats, exps = kernel_basis(
-            np.zeros(3), evecs, 4e-9, np.array([1.0, 2.0, 3.0]), np.zeros((3, 2, 2))
+            np.zeros(3), evecs, 4e-9, np.array([1.0, 2.0, 3.0]),
+            np.eye(2), np.zeros((3, 2, 1)), np.array([[0], [1], [-1]]),
         )
-        assert kc.shape == (3, 3)
+        assert kc.shape == (3, 3) and mats.shape == (3, 2, 2)
+        assert np.abs(mats).max() == 0
         assert np.abs(kc @ kc.T - np.eye(3)).max() < 1e-12
 
     def test_threshold_split(self):
@@ -267,7 +285,8 @@ class TestKernel:
         spectrum = np.array([1e-15, 1.0])
         _, evecs = scipy.linalg.eigh(w)
         kc, mats, exps = kernel_basis(
-            spectrum, evecs, 4e-9, np.array([0.5, 0.7]), np.zeros((2, 2, 2))
+            spectrum, evecs, 4e-9, np.array([0.5, 0.7]),
+            np.eye(2), np.zeros((2, 2, 0)), np.zeros((2, 0), dtype=int),
         )
         assert kc.shape == (1, 2)
         assert abs(abs(kc[0, 0]) - 1.0) < 1e-12
@@ -299,17 +318,20 @@ class TestBasisIndependence:
         # an invertible recombination and compare the assembled pipeline
         n = 2
         _, _, b, h_terms, asm, rho, table = make_setup(n, 1.1, rng)
-        gram, f_stack, h_exps = asm.matrices(table)
+        gram, factors, h_exps = asm.matrices(table)
         eps = 4e-9
 
-        _, base = assemble_from_matrices(gram, f_stack, h_exps, eps)
+        _, base = assemble_from_matrices(gram, factors, asm.columns, h_exps, eps)
 
         # a real recombination keeps the operators self-adjoint, so the
-        # reversed products stay the transposed Gram matrix
+        # reversed products stay the transposed Gram matrix; the mixed F is
+        # dense, so it passes as factors on every column
         mix = rng.normal(size=(len(b), len(b)))
         gram_mixed = mix @ gram @ mix.T
+        f_stack = densify(factors, asm.columns, len(b))
         f_mixed = np.einsum("lk,skm,nm->sln", mix, f_stack, mix, optimize=True)
-        _, mixed = assemble_from_matrices(gram_mixed, f_mixed, h_exps, eps)
+        every_column = np.tile(np.arange(len(b)), (len(h_terms), 1))
+        _, mixed = assemble_from_matrices(gram_mixed, f_mixed, every_column, h_exps, eps)
 
         assert base.q == mixed.q
         # the compressed modular spectra agree (same span)
@@ -380,10 +402,29 @@ class TestExactAssembly:
         h_exps = np.array([omega(PauliString.identity(3), h).real for h in h_terms])
 
         assert np.abs(f_stack).max() > 0.1
-        got_gram, got_f, got_h = asm.matrices(table)
+        got_gram, got_factors, got_h = asm.matrices(table)
+        got_f = densify(got_factors, asm.columns, len(b))
         assert np.abs(got_gram - gram).max() <= 1e-14
         assert np.abs(got_f - f_stack).max() <= 1e-14
         assert np.abs(got_h - h_exps).max() <= 1e-14
+
+    def test_columns_are_the_anticommuting_strings(self, rng):
+        # K_alpha is every b_k some string of h_alpha anticommutes with, once
+        # each even where the strings of a bond share it; padding holds zeros
+        b, h_terms, asm, table = self.make_case(rng)
+        _, factors, _ = asm.matrices(table)
+        assert factors.shape == (len(h_terms), len(b), asm.columns.shape[1])
+        widths, shared = [], 0
+        for alpha, h in enumerate(h_terms):
+            hits = [sum(not t.commutes_with(bk) for t in h.terms) for bk in b]
+            expect = [k for k, count in enumerate(hits) if count]
+            cols = asm.columns[alpha]
+            assert cols[: len(expect)].tolist() == expect
+            assert np.all(cols[len(expect):] == -1)
+            assert np.all(factors[alpha][:, len(expect):] == 0)
+            widths.append(len(expect))
+            shared += sum(count > 1 for count in hits)
+        assert asm.columns.shape[1] == max(widths) and shared > 0
 
     def test_commutator_term_count(self, rng):
         b, h_terms, asm, _ = self.make_case(rng)
@@ -406,13 +447,13 @@ class TestSiteCount:
 
 
 class TestFootprint:
-    def test_moment_set_peak_memory(self):
-        # Step 2 on the n=6 XXZ 2-local string basis (r = s = 63) holds at
-        # most four (s, r, r) complex tensors at once, plus small change
-        b = enumerate_geometric_k_local(6, 2)
+    @staticmethod
+    def peak_tensors(n):
+        """moment_set's peak traced memory on the n-site XXZ 2-local string basis, in (s, r, r) tensors."""
+        b = enumerate_geometric_k_local(n, 2)
         h_terms = string_basis_operators(b)
         asm = MomentAssembler(b, h_terms)
-        table = build_table(gibbs_density(xxz_chain(6), 1.0), required_strings(b, h_terms))
+        table = build_table(gibbs_density(xxz_chain(n), 1.0), required_strings(b, h_terms))
         asm.moment_set(table)  # first call loads what later calls reuse
         tracemalloc.start()
         try:
@@ -420,5 +461,13 @@ class TestFootprint:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        tensor = len(h_terms) * len(b) ** 2 * 16
-        assert peak < 4.5 * tensor, peak / tensor
+        return peak / (len(h_terms) * len(b) ** 2 * 16)
+
+    # Step 2 holds one (s, r, r) complex tensor, the defects, beside factors
+    # of width c <= 20, whose share falls as r grows: r = s = 63 at n=6 and
+    # 111 at n=10
+    def test_moment_set_peak_memory(self):
+        assert self.peak_tensors(6) < 3.5
+
+    def test_moment_set_peak_memory_n10(self):
+        assert self.peak_tensors(10) < 2.5

@@ -268,8 +268,9 @@ class TestRequiredStrings:
         # the assembler finds every string it reads in a table of these rows
         x, z = required_strings(b, h)
         table = ExpectationTable(n, x, z, ((x | z) == 0).astype(float))
-        _, f_stack, _ = MomentAssembler(b, h).matrices(table)
-        assert f_stack.shape == (len(h), len(b), len(b))
+        asm = MomentAssembler(b, h)
+        _, factors, _ = asm.matrices(table)
+        assert factors.shape == (len(h), len(b), asm.columns.shape[1])
 
     def test_closure_site_limit(self):
         # the top mask bit is a key like any other; one site more is refused
