@@ -244,6 +244,9 @@ def cmd_gen(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     h_true = cfg.hamiltonian()
     tables = _exact_tables(h_true, cfg.temperatures, *_string_basis(cfg.n, cfg.k_local))
+    strings = h_true.strings()
+    coefficients = [repr(h_true.terms[p].real) for p in strings]
+    texts = pauli.texts(*pauli.masks(strings))
     written = []
     for t, table in tables.items():
         if args.sigma:
@@ -252,11 +255,7 @@ def cmd_gen(args) -> int:
         table_path = os.path.join(args.out, f"table_{stem}.tsv")
         table.save(table_path)
         truth_path = os.path.join(args.out, f"truth_{stem}.txt")
-        write_tsv(
-            truth_path,
-            {"n": cfg.n, "temperature": repr(t)},
-            ((repr(h_true.terms[p].real), p.to_text()) for p in h_true.strings()),
-        )
+        write_tsv(truth_path, {"n": cfg.n, "temperature": repr(t)}, zip(coefficients, texts))
         written.append(table_path)
     for path in written:
         print(path)

@@ -312,9 +312,14 @@ def unique_masks(x: np.ndarray, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray, 
     """The distinct strings of two mask arrays, sorted by (x, z), and where each lands.
 
     Returns their masks and ``inverse``: (x, z)[i] is the ``inverse[i]``-th
-    of them.  One ``np.lexsort`` and a cumsum.
+    of them.  When every mask fits in 32 bits, one ``np.argsort`` of the word
+    x << 32 | z, which sorts by (x, z) too; wider masks, from 33 to 64 sites,
+    take one ``np.lexsort`` on (x, z).  Then a cumsum over the sorted masks.
     """
-    order = np.lexsort((z, x))
+    if int((x | z).max(initial=0)) >> 32 == 0:
+        order = np.argsort(x << np.uint64(32) | z)
+    else:
+        order = np.lexsort((z, x))
     x, z = x[order], z[order]
     first = np.ones(len(x), dtype=bool)
     first[1:] = (x[1:] != x[:-1]) | (z[1:] != z[:-1])
@@ -323,12 +328,42 @@ def unique_masks(x: np.ndarray, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray, 
     return x[first], z[first], inverse
 
 
+_REVERSED_BYTES = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
+_SPREAD_STEPS = tuple(
+    (np.uint64(shift), np.uint64(mask))
+    for shift, mask in (
+        (16, 0x0000FFFF0000FFFF),
+        (8, 0x00FF00FF00FF00FF),
+        (4, 0x0F0F0F0F0F0F0F0F),
+        (2, 0x3333333333333333),
+        (1, 0x5555555555555555),
+    )
+)
+
+
+def _reversed_bits(v: np.ndarray) -> np.ndarray:
+    """Each uint64 word with its 64 bits in reverse order: bit k moves to bit 63 - k."""
+    return _REVERSED_BYTES[np.ascontiguousarray(v).view(np.uint8)].view(np.uint64).byteswap()
+
+
+def _spread(v: np.ndarray) -> np.ndarray:
+    """Bit k of each word's low 32 bits moved to bit 2k, the other bits 0."""
+    v = v & np.uint64(0xFFFFFFFF)
+    for shift, mask in _SPREAD_STEPS:
+        v = (v | v << shift) & mask
+    return v
+
+
 def canonical_order(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """The permutation that sorts strings, given by their uint64 masks, into canonical order.
 
     The identity comes first, then the strings by first site, by width and
     by the letters of their window, site by site, in the order I < X < Y < Z.
-    One ``np.lexsort`` over these parts; every shift is by at most 63 bits.
+    The letter ranks 0 to 3, z << 1 | (x ^ z) at each site, are packed two
+    bits a site, the window's first site most significant, into one word per
+    32 sites of the widest window; one more word packs the identity flag, the
+    first site and the width.  One stable ``np.lexsort`` runs on these two or
+    three words; every shift is by at most 63 bits.
     """
     occupied = x | z
     non_identity = occupied != 0
@@ -338,11 +373,14 @@ def canonical_order(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     for shift in (1, 2, 4, 8, 16, 32):
         smeared |= smeared >> np.uint64(shift)
     width = np.bitwise_count(smeared).astype(np.uint64) - first
-    sites = np.arange(int(width.max(initial=0)), dtype=np.uint64)
-    xs = (x >> first)[:, None] >> sites & np.uint64(1)
-    zs = (z >> first)[:, None] >> sites & np.uint64(1)
-    ranks = np.argsort(_RANKED_CODES).astype(np.uint8)[xs | zs << np.uint64(1)]
-    return np.lexsort((*ranks.T[::-1], width, first, non_identity))
+    # window site j at bit 63 - j: the high half holds sites 0-31, the low half 32-63
+    high, low = _reversed_bits(z >> first), _reversed_bits((x ^ z) >> first)
+    halves = (32, 0) if int(width.max(initial=0)) > 32 else (32,)
+    words = [
+        _spread(high >> np.uint64(h)) << np.uint64(1) | _spread(low >> np.uint64(h)) for h in halves
+    ]
+    head = non_identity.astype(np.uint64) << np.uint64(14) | first << np.uint64(7) | width
+    return np.lexsort((*words[::-1], head))
 
 
 # --- dense bridge ---------------------------------------------------------

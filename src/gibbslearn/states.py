@@ -139,12 +139,12 @@ def required_strings(
 
 
 def write_tsv(path, header: Dict[str, object], rows: Iterable[Tuple[str, str]]):
-    """Write ``# key = value`` header lines, then one tab-separated line per row."""
+    """Write ``# key = value`` header lines, then one tab-separated line per row, in one call."""
+    lines = [f"# {key} = {value}" for key, value in header.items()]
+    lines.extend(map("\t".join, rows))
+    lines.append("")  # so the last line ends in a newline too
     with open(path, "w") as handle:
-        for key, value in header.items():
-            handle.write(f"# {key} = {value}\n")
-        for row in rows:
-            handle.write("\t".join(row) + "\n")
+        handle.write("\n".join(lines))
 
 
 def read_tsv(path) -> Tuple[Dict[str, str], List[Tuple[str, str]]]:
@@ -179,7 +179,9 @@ class ExpectationTable:
     (``pauli.canonical_order``), which saving follows.  A mask outside the n
     sites, a string listed twice, a non-finite value, an identity value
     other than exactly 1, a ``noise_sigma`` that ``check_noise_level`` refuses
-    and a negative ``seed`` raise ValueError.
+    and a ``seed`` that is not a nonnegative whole number raise ValueError.
+    ``noise_sigma`` is held as a Python float and ``seed`` as a Python int, so
+    a numpy scalar saves as a number that ``load`` reads back.
     """
 
     n: int
@@ -196,8 +198,12 @@ class ExpectationTable:
         if ((x | z) >> np.uint64(self.n)).any():
             raise ValueError(f"a string acts outside the table's {self.n} sites")
         check_noise_level(self.noise_sigma)
-        if self.seed is not None and self.seed < 0:
-            raise ValueError(f"seed {self.seed}: must be nonnegative")
+        self.noise_sigma = float(self.noise_sigma)
+        if self.seed is not None:
+            whole = isinstance(self.seed, (int, np.integer)) or float(self.seed).is_integer()
+            if not whole or self.seed < 0:
+                raise ValueError(f"seed {self.seed!r}: must be a nonnegative whole number")
+            self.seed = int(self.seed)
         order = pauli.canonical_order(x, z)
         self.x, self.z, self.values = x[order], z[order], values[order]
         # canonical order puts equal strings next to each other

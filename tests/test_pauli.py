@@ -224,16 +224,43 @@ class TestCanonicalOrder:
         assert any(s.x >> 63 or s.z >> 63 for s in strings)
         assert_canonical_order(strings, 64)
 
+    @pytest.mark.parametrize("width", [31, 32, 33, 64])
+    def test_window_across_word_boundary(self, width):
+        # windows 31 to 64 sites wide, at either end of 64 sites, and strings
+        # that differ from them at one window site, the last one or one on
+        # either side of site 32, where the packed letters pass from one word
+        # to the next
+        n, rng = 64, np.random.default_rng(width)
+
+        def string(first, codes):
+            x = sum((int(c) & 1) << site for site, c in enumerate(codes, first))
+            z = sum((int(c) >> 1) << site for site, c in enumerate(codes, first))
+            return PauliString(n, x, z)
+
+        strings = {PauliString.identity(n)}
+        for first in sorted({0, n - width}):
+            for _ in range(4):
+                codes = rng.integers(0, 4, size=width)
+                codes[[0, -1]] = rng.integers(1, 4, size=2)
+                strings.add(string(first, codes))
+                for site in {1, 30, 31, 32, 33, width - 1} & set(range(1, width)):
+                    for code in range(site == width - 1, 4):  # the last site stays a letter
+                        strings.add(string(first, np.where(np.arange(width) == site, code, codes)))
+        assert {s.support[-1] - s.support[0] + 1 for s in strings if s.support} == {width}
+        assert_canonical_order(strings, width)
+
     def test_empty(self):
         assert len(canonical_order(*masks([]))) == 0
 
 
 class TestUniqueMasks:
-    def test_against_set(self):
-        # repeats, the top bit, and pairs that share x but not z or z but not x
+    @pytest.mark.parametrize("top", [1 << 63, 1 << 31], ids=["wide", "one-word"])
+    def test_against_set(self, top):
+        # repeats, the top bit, and pairs that share x but not z or z but not x;
+        # masks below 2^32 take the one-word sort, wider ones the lexsort
         rng = np.random.default_rng(3)
-        x = rng.choice(np.array([0, 1, 5, 1 << 63], dtype=np.uint64), 300)
-        z = rng.choice(np.array([0, 2, 5, 1 << 63], dtype=np.uint64), 300)
+        x = rng.choice(np.array([0, 1, 5, top], dtype=np.uint64), 300)
+        z = rng.choice(np.array([0, 2, 5, top], dtype=np.uint64), 300)
         ux, uz, inverse = unique_masks(x, z)
         assert list(zip(ux.tolist(), uz.tolist())) == sorted(set(zip(x.tolist(), z.tolist())))
         assert np.array_equal(ux[inverse], x) and np.array_equal(uz[inverse], z)

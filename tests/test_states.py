@@ -486,6 +486,21 @@ class TestTable:
         back.save(tmp_path / "again.tsv")
         assert (tmp_path / "again.tsv").read_bytes() == path.read_bytes()
 
+    def test_numpy_scalar_header_roundtrip(self, tmp_path):
+        # a numpy noise level and seed are held, saved and loaded as Python numbers
+        table = ExpectationTable(2, [0, 1], [0, 2], [1.0, 0.25], np.float64(1e-6), np.int64(7))
+        assert type(table.noise_sigma) is float and type(table.seed) is int
+        table.save(tmp_path / "t.tsv")
+        assert "# noise_sigma = 1e-06\n# seed = 7\n" in (tmp_path / "t.tsv").read_text()
+        back = ExpectationTable.load(tmp_path / "t.tsv")
+        assert (back.noise_sigma, back.seed) == (1e-6, 7)
+        assert_same_table(back, table)
+
+    @pytest.mark.parametrize("seed", [3.5, -1, math.inf, math.nan])
+    def test_seed_must_be_a_nonnegative_whole_number(self, seed):
+        with pytest.raises(ValueError, match="must be a nonnegative whole number"):
+            ExpectationTable(1, [0], [0], [1.0], 1e-3, seed)
+
     def test_held_in_canonical_order(self, tmp_path):
         # a table built from shuffled arrays saves and draws noise exactly
         # like one built in canonical order
