@@ -18,6 +18,7 @@ from typing import List, Optional
 import numpy as np
 import scipy.linalg
 
+from . import pauli
 from . import sdp as sdp_mod
 from .errors import SolverFailure
 from .moments import MomentAssembler, MomentSet
@@ -77,7 +78,7 @@ class ReconstructionResult:
         lines += [("mu_star", self.mu_star)]
         lines += [(f.name, getattr(self.diagnostics, f.name)) for f in fields(Diagnostics)]
         if self.y_star is not None:
-            lines += [(f"coeff.{_term_label(op)}", v) for op, v in zip(self.terms, self.y_star)]
+            lines += [(f"coeff.{label}", v) for label, v in zip(_term_labels(self.terms), self.y_star)]
         with open(path, "w") as handle:
             handle.writelines(f"{key} = {_record_value(value)}\n" for key, value in lines)
 
@@ -186,12 +187,15 @@ def verdict(solution: SdpSolution, l0: np.ndarray, opts: ReconstructOptions) -> 
     return Verdict.NOT_GIBBS if solution.mu_star < -certificate_tol else Verdict.CANDIDATE
 
 
-def _term_label(op: PauliOperator) -> str:
-    if len(op.terms) == 1:
-        (string, coeff) = next(iter(op.terms.items()))
-        if coeff == 1.0:
-            return string.to_text()
-    return op.to_text()
+def _term_labels(ops: List[PauliOperator]) -> List[str]:
+    """A single string with coefficient 1 is written as its string, anything else as ``op.to_text()``.
+
+    The single strings are written in one ``pauli.texts`` call.
+    """
+    single = [len(op.terms) == 1 and next(iter(op.terms.values())) == 1.0 for op in ops]
+    strings = [next(iter(op.terms)) for op, one in zip(ops, single) if one]
+    texts = iter(pauli.texts(*pauli.masks(strings)))
+    return [next(texts) if one else op.to_text() for op, one in zip(ops, single)]
 
 
 def recovery_angle(y: np.ndarray, z: np.ndarray) -> float:

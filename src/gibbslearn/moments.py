@@ -17,6 +17,9 @@ A term's commutator moments F_alpha[l, k] = omega(b_l^* [h_alpha, b_k]) vanish
 outside the c <= r columns k where some string of h_alpha anticommutes with
 b_k, so they are kept as per-term column factors and never as a dense
 (s, r, r) tensor; Step 2 works on the factors (``assemble_from_matrices``).
+W, a sum over the entries of the defects D_alpha = M_alpha - M_alpha^dag,
+is summed over blocks of c rows of D (``defect_rows``, ``build_w``), so Step 2
+holds no (s, r, r) array at all.
 
 Every phase is ``pauli.phase_exponent``, the product rule of Aaronson and
 Gottesman (2004) for two strings: b_l b_k = i^g(b_l, b_k) (b_l b_k as a
@@ -213,37 +216,53 @@ def delta_from_gram(gram_sym: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return 0.5 * (delta + delta.conj().T)
 
 
-def commutator_defects(coeffs: np.ndarray, factors: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """Anti-Hermitian parts D_a = M_a - M_a^dag of the moment matrices M_a = C^dag F_a C.
+def defect_rows(coeffs: np.ndarray, factors: np.ndarray, columns: np.ndarray, height: int):
+    """Row blocks, from the diagonal on, of the defects D_a = M_a - M_a^dag of M_a = C^dag F_a C.
 
     F_a is given by its factor F_a[:, K_a] = ``factors[a]`` (s, r, c) on the
-    columns K_a = ``columns[a]``.  With L_a = C^dag F_a[:, K_a] (one gemm for
-    every a) and the gather R_a = C[K_a, :], M_a = L_a R_a, so
-    D_a = [L_a | R_a^dag] [R_a; -L_a^dag] is one batched product of inner
-    size 2c: 2 s r^2 c complex multiply-adds, not 2 s r^3.
+    columns K_a = ``columns[a]``.  With L_a = C^dag F_a[:, K_a] and the gather
+    R_a = C[K_a, :], M_a = L_a R_a, so rows i to i + height of D_a are
+    [L_a[rows, :] | -(R_a[:, rows])^dag] [R_a; L_a^dag], a batched product of
+    inner size 2c.  The rows of L_a are the conjugated columns of L_a^dag, so
+    [R_a; L_a^dag] (s, 2c, r) is the one full-height array.  D_a is
+    anti-Hermitian, so its upper triangle determines it: each block is
+    D[:, i:i + height, i:], yielded as (i, block) top to bottom (the last
+    may be shorter), and the s r^2 entries of D are never held together.
     """
     s, r, c = factors.shape
-    # L_a^T = F_a[:, K_a]^T conj(C), all terms at once
-    left_t = (np.reshape(factors.transpose(0, 2, 1), (s * c, r)) @ coeffs.conj()).reshape(s, c, r)
-    right = coeffs[columns]
-    lhs_t = np.concatenate([left_t, right.conj()], axis=1)  # [L_a | R_a^dag]^T
-    rhs = np.concatenate([right, -left_t.conj()], axis=1)
-    del left_t, right
-    return lhs_t.transpose(0, 2, 1) @ rhs
+    right = np.empty((s, 2 * c, r), dtype=complex)
+    right[:, :c] = coeffs[columns]
+    # L_a^dag = conj(F_a[:, K_a]^T conj(C)), all terms in one gemm
+    right[:, c:] = (np.reshape(factors.transpose(0, 2, 1), (s * c, r)) @ coeffs.conj()).reshape(s, c, r)
+    np.conjugate(right[:, c:], out=right[:, c:])
+    for start in range(0, r, height):
+        rows = right[:, :, start : start + height].conj().transpose(0, 2, 1)
+        left = np.concatenate([rows[:, :, c:], -rows[:, :, :c]], axis=2)
+        yield start, left @ right[:, :, start:]
 
 
-def build_w(defects: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Spectrum of the quasi-symmetry matrix W of anti-Hermitian defects D_a.
+def build_w(coeffs: np.ndarray, factors: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """The quasi-symmetry matrix W_ab = Re tr(D_a^dag D_b) of the defects of ``defect_rows``.
 
-    W_ab = Re tr(D_a^dag D_b), real because the Hamiltonian coefficients
-    are: the product of the defects' float views with their transpose.
-    Returns the eigenvalues (ascending) and eigenvectors (columns) of W,
-    with negative numerical dust in the eigenvalues clipped to zero.
+    W is real because the Hamiltonian coefficients are, and a sum over the
+    entries of D, taken over blocks of max(1, c) rows, at most as many
+    entries as L: each adds the product of its float view with its
+    transpose.  D is anti-Hermitian, so an entry right of a block's diagonal
+    square adds what its mirror image below the diagonal does, and counts
+    twice: about half of D's 2 s r^2 c and W's 2 s^2 r^2 multiply-adds.
     """
-    defects = np.ascontiguousarray(defects, dtype=complex)
-    s, r, _ = defects.shape
-    flat = defects.view(float).reshape(s, 2 * r * r)
-    spectrum, eigenvectors = scipy.linalg.eigh(flat @ flat.T)
+    s, _, c = factors.shape
+    w = np.zeros((s, s))
+    for _, block in defect_rows(coeffs, factors, columns, max(1, c)):
+        block[:, :, block.shape[1] :] *= math.sqrt(2.0)
+        flat = block.view(float).reshape(s, -1)
+        w += flat @ flat.T
+    return w
+
+
+def _eigensystem(w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending, negative numerical dust clipped to zero) and eigenvectors of W."""
+    spectrum, eigenvectors = scipy.linalg.eigh(w)
     scale = max(1.0, float(np.abs(spectrum).max())) if spectrum.size else 1.0
     spectrum = np.where((spectrum < 0) & (spectrum > -1e-12 * scale), 0.0, spectrum)
     return spectrum, eigenvectors
@@ -267,8 +286,8 @@ def kernel_basis(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Near-kernel of W: directions whose commutator moments are Hermitian.
 
-    Takes the ascending eigenvalues and the eigenvectors of W, as
-    ``build_w`` returns them, and keeps the eigenvectors whose
+    Takes the ascending eigenvalues and the eigenvectors (columns) of W
+    and keeps the eigenvectors whose
     eigenvalue is below the threshold; q = 0 means no candidate direction
     survives and the caller terminates with the corresponding verdict.
     For each kept direction k_a, H~_a = herm(C^dag (sum_alpha k_a,alpha F_alpha) C)
@@ -320,10 +339,7 @@ def assemble_from_matrices(
     ortho = orthonormalize(gram_sym, gram_floor=gram_floor)
     coeffs = ortho.coeffs
     delta = delta_from_gram(gram_sym, coeffs)
-    # D is the one (s, r, r) array, freed before the kernel matrices are formed
-    defects = commutator_defects(coeffs, factors, columns)
-    w_spectrum, w_eigenvectors = build_w(defects)
-    del defects
+    w_spectrum, w_eigenvectors = _eigensystem(build_w(coeffs, factors, columns))
     kernel_coeffs, h_tilde_mats, h_tilde_exps = kernel_basis(
         w_spectrum, w_eigenvectors, epsilon_w_value, h_expectations, coeffs, factors, columns
     )

@@ -170,8 +170,9 @@ def _solve_standard(
 ):
     """min c'x  s.t.  S = sum_k x_k F_k - F0 >= 0  and  s = sum_k x_k g_k >= 0.
 
-    The F blocks are complex Hermitian r x r, the g blocks a (possibly
-    empty) vector of scalar cones.  Returns (x, Z, iterations, primal_res,
+    The F blocks are complex Hermitian r x r, the last of them -I (the
+    margin mu's column), and the g blocks a (possibly empty) vector of
+    scalar cones.  Returns (x, Z, iterations, primal_res,
     dual_res, comp_gap, status_note), where the dual matrix Z solves
     max <F0, Z>  s.t.  <F_k, Z> + g_k'z = c_k,  Z >= 0, z >= 0.
     """
@@ -236,7 +237,8 @@ def _solve_standard(
         d = np.clip(d, 1e-300, None)
         r_mat = (z_chol @ u_mat) / np.sqrt(d)
         r_adj = r_mat.conj().T
-        f_scaled = r_adj @ f_stack @ r_mat  # (m, r, r): R^H F_k R
+        # R^H F_k R one block at a time; the last F is -I, so its scaled form is -R^H R
+        f_scaled = np.stack([r_adj @ f @ r_mat for f in f_stack[:-1]] + [-(r_adj @ r_mat)])
         r_dual_scaled = r_adj @ r_dual @ r_mat
         w_diag = z_diag / s_diag  # scalar cones: W s W = z
 
@@ -270,17 +272,25 @@ def _solve_standard(
         def directions(nu):
             """dx, the scaled dS~ = R^H dS R, the scalar steps and both step lengths.
 
-            dZ~ = nu D^{-1} - D - dS~, so either cone's ratio test is one
-            eigenvalue of D^{-1/2} (.) D^{-1/2}, plus the scalar cones.
+            dZ~ = nu D^{-1} - D - dS~, so either cone's ratio test is the
+            smallest eigenvalue of D^{-1/2} (.) D^{-1/2}, plus the scalar
+            cones.  In the affine step (nu = 0) the dZ~ ratio matrix is -I
+            minus the dS~ one, so one spectrum gives both.
             """
             dx = solve_schur(nu * a_vec + h_vec - cvec)
             ds_scaled = np.tensordot(dx, f_scaled, axes=(0, 0)) - r_dual_scaled
             ds_d = dx @ g_stack - r_dual_d
             dz_d = nu / s_diag - z_diag - w_diag * ds_d
             ds_ratio = ds_scaled * inv_sqrt_outer
-            dz_ratio = np.diag(nu / d**2 - 1.0) - ds_ratio
-            lam_s = np.min(ds_d / s_diag, initial=scipy.linalg.eigvalsh(ds_ratio)[0])
-            lam_z = np.min(dz_d / z_diag, initial=scipy.linalg.eigvalsh(dz_ratio)[0])
+            if nu == 0:
+                ratios = scipy.linalg.eigvalsh(ds_ratio)
+                ratio_s, ratio_z = ratios[0], -1.0 - ratios[-1]
+            else:
+                dz_ratio = np.diag(nu / d**2 - 1.0) - ds_ratio
+                ratio_s = scipy.linalg.eigvalsh(ds_ratio, subset_by_index=[0, 0])[0]
+                ratio_z = scipy.linalg.eigvalsh(dz_ratio, subset_by_index=[0, 0])[0]
+            lam_s = np.min(ds_d / s_diag, initial=ratio_s)
+            lam_z = np.min(dz_d / z_diag, initial=ratio_z)
             alpha_s = min(1.0, STEP_FRACTION * _step_to_boundary(lam_s))
             alpha_z = min(1.0, STEP_FRACTION * _step_to_boundary(lam_z))
             return dx, ds_scaled, ds_d, dz_d, alpha_s, alpha_z

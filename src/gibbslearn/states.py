@@ -10,8 +10,9 @@ corrupted by independent Gaussian noise of a given standard deviation.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -197,6 +198,12 @@ class ExpectationTable:
         values = np.asarray(self.values, dtype=float)
         if ((x | z) >> np.uint64(self.n)).any():
             raise ValueError(f"a string acts outside the table's {self.n} sites")
+        order = pauli.canonical_order(x, z)
+        self.x, self.z, self.values = x[order], z[order], values[order]
+        self._check()
+
+    def _check(self):
+        """Check the noise level, the seed and the entries of masks already in canonical order."""
         check_noise_level(self.noise_sigma)
         self.noise_sigma = float(self.noise_sigma)
         if self.seed is not None:
@@ -204,10 +211,8 @@ class ExpectationTable:
             if not whole or self.seed < 0:
                 raise ValueError(f"seed {self.seed!r}: must be a nonnegative whole number")
             self.seed = int(self.seed)
-        order = pauli.canonical_order(x, z)
-        self.x, self.z, self.values = x[order], z[order], values[order]
         # canonical order puts equal strings next to each other
-        repeated = np.zeros(len(x), dtype=bool)
+        repeated = np.zeros(len(self.x), dtype=bool)
         repeated[1:] = (self.x[1:] == self.x[:-1]) & (self.z[1:] == self.z[:-1])
         for bad, problem in (
             (repeated, "{s} is listed twice"),
@@ -328,10 +333,14 @@ def add_noise(table: ExpectationTable, sigma: float, seed) -> ExpectationTable:
     or reordering of a table carries the same noisy values as the whole, and an
     integral seed, which the table records, reproduces every draw.  The identity
     stays 1, entries are not clamped to [-1, 1], and composing adds variances.
+    The result keeps the input's strings and order; its values, noise level and
+    seed pass the constructor's checks.
     """
     check_noise_level(sigma)
+    noisy = copy.copy(table)  # the input's masks, already canonical and checked, are shared
     if sigma == 0:
-        return replace(table)
+        noisy.values = table.values.copy()
+        return noisy
     sequence = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     k0, k1 = sequence.generate_state(2, np.uint64)
     h = _mix(_mix(table.x ^ k0) ^ table.z)
@@ -339,6 +348,8 @@ def add_noise(table: ExpectationTable, sigma: float, seed) -> ExpectationTable:
     u2 = (_mix(h ^ k1) >> np.uint64(11)) * 2.0**-53
     values = table.values + sigma * np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
     values[(table.x | table.z) == 0] = 1.0
-    combined = math.sqrt(table.noise_sigma**2 + sigma**2)
-    seed_repr = int(seed) if isinstance(seed, (int, np.integer)) else None
-    return ExpectationTable(table.n, table.x, table.z, values, combined, seed_repr)
+    noisy.values = values
+    noisy.noise_sigma = math.sqrt(table.noise_sigma**2 + sigma**2)
+    noisy.seed = int(seed) if isinstance(seed, (int, np.integer)) else None
+    noisy._check()
+    return noisy

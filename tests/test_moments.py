@@ -10,7 +10,7 @@ from gibbslearn.moments import (
     MomentAssembler,
     assemble_from_matrices,
     build_w,
-    commutator_defects,
+    defect_rows,
     delta_from_gram,
     epsilon_w,
     kernel_basis,
@@ -26,7 +26,13 @@ from gibbslearn.pauli import (
     masks,
     multiply,
 )
-from gibbslearn.states import add_noise, build_table, gibbs_density, required_strings
+from gibbslearn.states import (
+    ExpectationTable,
+    add_noise,
+    build_table,
+    gibbs_density,
+    required_strings,
+)
 
 
 def make_setup(n, temperature, rng, b=None, h_strings=None):
@@ -45,6 +51,23 @@ def densify(factors, columns, r):
     for f, factor, cols in zip(f_stack, factors, columns):
         f[:, cols[cols >= 0]] = factor[:, cols >= 0]
     return f_stack
+
+
+def read_defects(coeffs, factors, columns, height):
+    """The whole (s, r, r) D of ``defect_rows``' blocks, the lower triangle by anti-Hermiticity."""
+    s, r, _ = factors.shape
+    defects = np.zeros((s, r, r), dtype=complex)
+    for start, block in defect_rows(coeffs, factors, columns, height):
+        rows = slice(start, start + block.shape[1])
+        defects[:, start:, rows] = -block.conj().transpose(0, 2, 1)
+        defects[:, rows, start:] = block
+    return defects
+
+
+def dense_defects(coeffs, factors, columns):
+    """D_a = M_a - M_a^dag of the dense moment matrices M_a = C^dag F_a C."""
+    moments = coeffs.conj().T @ densify(factors, columns, coeffs.shape[0]) @ coeffs
+    return moments - moments.conj().transpose(0, 2, 1)
 
 
 class TestGram:
@@ -151,7 +174,7 @@ class TestDeltaAndH:
             gram, factors, _ = asm.matrices(table)
             coeffs = orthonormalize(gram).coeffs
             raw = coeffs.conj().T @ densify(factors, asm.columns, len(b)) @ coeffs
-            defects = commutator_defects(coeffs, factors, asm.columns)
+            defects = read_defects(coeffs, factors, asm.columns, 5)
             space = build_gns(rho)
             vecs = np.column_stack([space.vector(p) for p in b]) @ coeffs
             proj = vecs.conj().T
@@ -173,7 +196,8 @@ class TestDeltaAndH:
         sym = 0.5 * (raw + raw.conj().T)
         assert np.abs(raw).max() < 1e-12
         assert np.abs(sym).max() < 1e-12
-        assert np.abs(commutator_defects(coeffs, factors, asm.columns)).max() == 0
+        assert np.abs(read_defects(coeffs, factors, asm.columns, 1)).max() == 0
+        assert np.abs(build_w(coeffs, factors, asm.columns)).max() == 0
         _, moments = asm.moment_set(table)
         assert moments.q == 1 and np.abs(moments.h_tilde_mats).max() == 0
 
@@ -232,11 +256,39 @@ class TestW:
         assert np.abs(moments.w_spectrum).max() < 1e-12
 
     def test_rank_one_positivity(self, rng):
+        # one dense term in an orthonormal basis: M = F, and W = ||F - F^dag||^2
         raw = rng.normal(size=(1, 5, 5)) + 1j * rng.normal(size=(1, 5, 5))
         anti = raw[0] - raw[0].conj().T
-        spectrum, _ = build_w(anti[None])
-        assert abs(spectrum[0] - np.abs(anti).ravel() @ np.abs(anti).ravel()) < 1e-10
-        assert spectrum.min() >= 0
+        w = build_w(np.eye(5), raw, np.arange(5)[None])
+        assert abs(w[0, 0] - np.abs(anti).ravel() @ np.abs(anti).ravel()) < 1e-10
+        assert w.min() >= 0
+
+    @pytest.mark.parametrize("height", [1, 5, 16, 48, 63, 100])
+    def test_row_blocks_give_the_whole_w(self, rng, height):
+        # against flat @ flat.T of the dense D; c = 48 and 5 do not divide r = 63
+        _, _, asm, table = TestExactAssembly.make_case(rng)
+        gram, factors, _ = asm.matrices(table)
+        coeffs = orthonormalize(gram).coeffs
+        dense = dense_defects(coeffs, factors, asm.columns)
+        flat = dense.view(float).reshape(len(dense), -1)
+        expect = flat @ flat.T
+        scale = np.abs(expect).max()
+        assert factors.shape[2] == 48 and np.abs(dense).max() > 0.1
+        assert np.abs(build_w(coeffs, factors, asm.columns) - expect).max() <= 1e-12 * scale
+        blocks = read_defects(coeffs, factors, asm.columns, height)
+        assert np.abs(blocks - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    def test_commuting_terms_give_zero_rows(self):
+        # c = 0: no term anticommutes with any b_k, so D and W are exactly zero
+        b = [PauliString.from_text(text, 2) for text in ("Z0", "Z1", "Z0 Z1")]
+        terms = [PauliOperator.from_terms(2, [(1.0, text)]) for text in ("Z0 Z1", "Z1")]
+        table = build_table(gibbs_density(xxz_chain(2), 1.0), masks(all_strings(2)))
+        asm = MomentAssembler(b, terms)
+        gram, factors, _ = asm.matrices(table)
+        coeffs = orthonormalize(gram).coeffs
+        assert factors.shape[2] == 0
+        assert np.array_equal(build_w(coeffs, factors, asm.columns), np.zeros((2, 2)))
+        assert np.array_equal(read_defects(coeffs, factors, asm.columns, 2), np.zeros((2, 3, 3)))
 
     def test_true_hamiltonian_in_kernel(self, rng):
         # exact data: the generating Hamiltonian direction annihilates W
@@ -248,7 +300,7 @@ class TestW:
         rho = gibbs_density(h, 1.0)
         table = build_table(rho, required_strings(b, h_terms))
         gram, factors, _ = asm.matrices(table)
-        defects = commutator_defects(orthonormalize(gram).coeffs, factors, asm.columns)
+        defects = read_defects(orthonormalize(gram).coeffs, factors, asm.columns, 7)
         # z^T W z = ||sum_a z_a D_a||^2; W's largest entry is a diagonal one, max_a ||D_a||^2
         quad = np.linalg.norm(np.tensordot(z, defects, axes=1)) ** 2
         scale = max(1.0, (np.abs(defects) ** 2).sum(axis=(1, 2)).max()) * float(z @ z)
@@ -408,6 +460,13 @@ class TestExactAssembly:
         assert np.abs(got_f - f_stack).max() <= 1e-14
         assert np.abs(got_h - h_exps).max() <= 1e-14
 
+        # the defects D_a = M_a - M_a^dag, read from the row blocks, against the expansion
+        coeffs = orthonormalize(gram).coeffs
+        moments = coeffs.conj().T @ f_stack @ coeffs
+        defects = moments - moments.conj().transpose(0, 2, 1)
+        got_d = read_defects(coeffs, got_factors, asm.columns, got_factors.shape[2])
+        assert np.abs(got_d - defects).max() <= 1e-12 * np.abs(defects).max()
+
     def test_columns_are_the_anticommuting_strings(self, rng):
         # K_alpha is every b_k some string of h_alpha anticommutes with, once
         # each even where the strings of a bond share it; padding holds zeros
@@ -448,12 +507,27 @@ class TestSiteCount:
 
 class TestFootprint:
     @staticmethod
-    def peak_tensors(n):
-        """moment_set's peak traced memory on the n-site XXZ 2-local string basis, in (s, r, r) tensors."""
+    def peak_tensors(n, product_state=False):
+        """moment_set's peak traced memory on the n-site 2-local string basis, in (s, r, r) tensors.
+
+        The table is the XXZ chain's at T=1, or with ``product_state`` that of
+        a product state, each value a product of one-site Bloch components
+        (each in [-0.4, 0.4]), so no dense state is built.
+        """
         b = enumerate_geometric_k_local(n, 2)
         h_terms = string_basis_operators(b)
         asm = MomentAssembler(b, h_terms)
-        table = build_table(gibbs_density(xxz_chain(n), 1.0), required_strings(b, h_terms))
+        strings = required_strings(b, h_terms)
+        if product_state:
+            x, z = strings
+            bloch = np.random.default_rng(5).uniform(-0.4, 0.4, size=(n, 3))
+            values = np.ones(len(x))
+            for site, (bx, by, bz) in enumerate(bloch):
+                letter = (x >> np.uint64(site) & np.uint64(1)) | (z >> np.uint64(site) & np.uint64(1)) << np.uint64(1)
+                values *= np.array([1.0, bx, bz, by])[letter.astype(np.intp)]  # I, X, Z, Y
+            table = ExpectationTable(n, x, z, values)
+        else:
+            table = build_table(gibbs_density(xxz_chain(n), 1.0), strings)
         asm.moment_set(table)  # first call loads what later calls reuse
         tracemalloc.start()
         try:
@@ -463,11 +537,14 @@ class TestFootprint:
             tracemalloc.stop()
         return peak / (len(h_terms) * len(b) ** 2 * 16)
 
-    # Step 2 holds one (s, r, r) complex tensor, the defects, beside factors
-    # of width c <= 20, whose share falls as r grows: r = s = 63 at n=6 and
-    # 111 at n=10
+    # Step 2 never holds an (s, r, r) complex tensor: the defects come in
+    # blocks of c <= 20 rows, beside factors of width c, whose share falls as
+    # r grows: r = s = 63 at n=6, 111 at n=10 and 183 at n=16
     def test_moment_set_peak_memory(self):
-        assert self.peak_tensors(6) < 3.5
+        assert self.peak_tensors(6) < 2.2
 
     def test_moment_set_peak_memory_n10(self):
-        assert self.peak_tensors(10) < 2.5
+        assert self.peak_tensors(10) < 1.15
+
+    def test_moment_set_peak_memory_n16(self):
+        assert self.peak_tensors(16, product_state=True) < 1.0

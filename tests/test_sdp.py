@@ -212,4 +212,4 @@ class TestSolverCost:
         assert sol.status is SolverStatus.OPTIMAL
         assert not [c for c in calls if c[0] == "eigh"]
         assert max(max(shape) for _, shape in calls) <= r
-        assert len(calls) <= 8 * sol.iterations
+        assert len(calls) <= 7 * sol.iterations
