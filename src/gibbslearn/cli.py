@@ -213,10 +213,9 @@ def _string_basis(n: int, k_local: int) -> Tuple[List[PauliString], List[PauliOp
     return basis, models.string_basis_operators(basis)
 
 
-def _exact_tables(h_true, temperatures, basis, h_terms) -> Dict[float, ExpectationTable]:
-    """The exact table of h_true at each temperature, on the strings the moments read."""
-    needed = states.required_strings(basis, h_terms)
-    return {t: build_table(gibbs_density(h_true, t), needed) for t in temperatures}
+def _exact_tables(h_true, temperatures, strings) -> Dict[float, ExpectationTable]:
+    """The exact table of h_true at each temperature, on the (x, z) masks ``strings``."""
+    return {t: build_table(gibbs_density(h_true, t), strings) for t in temperatures}
 
 
 def _truth_vector(h_true: PauliOperator, basis: Sequence[PauliString], k_local: int) -> np.ndarray:
@@ -243,7 +242,8 @@ def cmd_gen(args) -> int:
         raise ConfigError(f"--sigma: {exc}") from exc
     os.makedirs(args.out, exist_ok=True)
     h_true = cfg.hamiltonian()
-    tables = _exact_tables(h_true, cfg.temperatures, *_string_basis(cfg.n, cfg.k_local))
+    needed = states.required_strings(*_string_basis(cfg.n, cfg.k_local))
+    tables = _exact_tables(h_true, cfg.temperatures, needed)
     strings = h_true.strings()
     coefficients = [repr(h_true.terms[p].real) for p in strings]
     texts = pauli.texts(*pauli.masks(strings))
@@ -324,37 +324,36 @@ def cmd_learn(args) -> int:
 
 # -- sweep --------------------------------------------------------------------
 
+# a pool worker process's sweep, set by the pool's initializer; the caller never fills it
 _WORKER_CTX: dict = {}
 
 
-def _worker_init(cfg: ExperimentConfig, basis, h_terms, z_true: np.ndarray, exact_tables):
-    """Hold ``run_sweep``'s basis, truth vector and exact tables; build this process's assembler."""
-    _WORKER_CTX["cfg"] = cfg
-    _WORKER_CTX["opts"] = ReconstructOptions(epsilon_w=cfg.epsilon_w)
-    _WORKER_CTX["assembler"] = MomentAssembler(basis, h_terms)
-    _WORKER_CTX["z_true"] = z_true
-    _WORKER_CTX["tables"] = exact_tables
+def _worker_init(sweep):
+    _WORKER_CTX["sweep"] = sweep
 
 
-def _sweep_job(job: Tuple[int, int, int]) -> dict:
+def _pool_job(job: Tuple[int, int, int]) -> dict:
+    return _sweep_job(_WORKER_CTX["sweep"], job)
+
+
+def _sweep_job(sweep, job: Tuple[int, int, int]) -> dict:
+    cfg, opts, assembler, z_true, tables = sweep
     sigma_idx, temp_idx, run_idx = job
-    cfg: ExperimentConfig = _WORKER_CTX["cfg"]
     sigma = cfg.sigma_grid[sigma_idx]
     temperature = cfg.temperatures[temp_idx]
-    exact = _WORKER_CTX["tables"][temperature]
     seed_seq = np.random.SeedSequence((cfg.seed, sigma_idx, temp_idx, run_idx))
     start = time.perf_counter()
     record = dict.fromkeys(SWEEP_COLUMNS, "")
     record.update(sigma_noise=sigma, temperature=temperature, run=run_idx)
     try:
-        noisy = add_noise(exact, sigma, seed_seq)
-        result = reconstruct(noisy, _WORKER_CTX["assembler"], _WORKER_CTX["opts"])
+        noisy = add_noise(tables[temperature], sigma, seed_seq)
+        result = reconstruct(noisy, assembler, opts)
         record["verdict"] = result.verdict.value
         record["q"] = result.diagnostics.q
         if result.mu_star is not None:
             record["mu_star"] = repr(result.mu_star)
         if result.y_star is not None and result.t_star is not None:
-            report = evaluate_recovery(result, _WORKER_CTX["z_true"], temperature)
+            report = evaluate_recovery(result, z_true, temperature)
             record["theta"] = repr(report.theta)
             record["temp_ratio"] = repr(report.temperature_ratio)
     except RECONSTRUCTION_FAILURES as exc:
@@ -369,13 +368,16 @@ def run_sweep(cfg: ExperimentConfig) -> Tuple[List[dict], List[dict]]:
     Per-run noise seeds derive from (master seed, sigma index, temperature
     index, run index), so records are independent of worker scheduling.
     A truth term outside the k_local basis is a ConfigError before any run.
+    The sweep is built once and passed to each job, so sweeps in one process
+    share nothing; a pool has min(workers, jobs) processes, else jobs run here.
     """
     cfg.validate()
     h_true = cfg.hamiltonian()
     basis, h_terms = _string_basis(cfg.n, cfg.k_local)
     z_true = _truth_vector(h_true, basis, cfg.k_local)
-    exact_tables = _exact_tables(h_true, cfg.temperatures, basis, h_terms)
-    context = (cfg, basis, h_terms, z_true, exact_tables)
+    assembler = MomentAssembler(basis, h_terms)
+    tables = _exact_tables(h_true, cfg.temperatures, assembler.strings)
+    sweep = (cfg, ReconstructOptions(epsilon_w=cfg.epsilon_w), assembler, z_true, tables)
 
     jobs = [
         (si, ti, run)
@@ -383,18 +385,17 @@ def run_sweep(cfg: ExperimentConfig) -> Tuple[List[dict], List[dict]]:
         for ti in range(len(cfg.temperatures))
         for run in range(cfg.runs_per_point)
     ]
-    if cfg.workers > 1:
+    workers = min(cfg.workers, len(jobs))
+    if workers > 1:
         with ProcessPoolExecutor(
-            max_workers=cfg.workers, initializer=_worker_init, initargs=context
+            max_workers=workers, initializer=_worker_init, initargs=(sweep,)
         ) as pool:
-            records = list(pool.map(_sweep_job, jobs, chunksize=4))
+            records = list(pool.map(_pool_job, jobs, chunksize=4))
     else:
-        _worker_init(*context)
-        records = [_sweep_job(job) for job in jobs]
+        records = [_sweep_job(sweep, job) for job in jobs]
 
     records.sort(key=lambda rec: (rec["sigma_noise"], rec["temperature"], rec["run"]))
-    aggregates = _aggregate(records)
-    return records, aggregates
+    return records, _aggregate(records)
 
 
 def _aggregate(records: List[dict]) -> List[dict]:

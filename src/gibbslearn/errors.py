@@ -20,24 +20,27 @@ class IncompleteData(GibbsLearnError):
         self.pauli_text = pauli_text
         super().__init__(f"expectation table has no entry for '{pauli_text}'")
 
+    def __reduce__(self):
+        return type(self), (self.pauli_text,)
+
 
 class BadTable(GibbsLearnError, ValueError):
     """A table file that does not parse or breaks a rule of ``ExpectationTable``."""
 
 
 class GramDegenerate(GibbsLearnError):
-    """The Gram matrix of the perturbing operators is numerically singular.
+    """The perturbing operators' Gram matrix is singular: ``eigenvalues`` at or below ``floor``."""
 
-    Carries the offending eigenvalues (everything at or below the floor).
-    """
+    _matrix = "Gram matrix"
 
     def __init__(self, eigenvalues, floor):
         self.eigenvalues = list(eigenvalues)
         self.floor = floor
-        super().__init__(
-            f"Gram matrix has {len(self.eigenvalues)} eigenvalue(s) <= floor "
-            f"{floor:.3e}: {self.eigenvalues}"
-        )
+        count = f"{self._matrix} has {len(self.eigenvalues)} eigenvalue(s) <= floor {floor:.3e}"
+        GibbsLearnError.__init__(self, f"{count}: {self.eigenvalues}")
+
+    def __reduce__(self):
+        return type(self), (self.eigenvalues, self.floor)
 
 
 class DeltaNotPositive(GibbsLearnError):
@@ -50,13 +53,9 @@ class DeltaNotPositive(GibbsLearnError):
     offending eigenvalues are attached.
     """
 
-    def __init__(self, eigenvalues, floor):
-        self.eigenvalues = list(eigenvalues)
-        self.floor = floor
-        super().__init__(
-            f"modular matrix has {len(self.eigenvalues)} eigenvalue(s) <= floor "
-            f"{floor:.3e}: {self.eigenvalues}"
-        )
+    _matrix = "modular matrix"
+    __init__ = GramDegenerate.__init__
+    __reduce__ = GramDegenerate.__reduce__
 
 
 class NormalizationDegenerate(GibbsLearnError):

@@ -9,9 +9,9 @@ requires them.
 Pauli products are structural: phases and base strings do not depend on the
 data.  The assembler therefore precomputes integer index maps once per
 (b, h_terms) pair, after which any number of (noisy) tables can be processed
-with plain array gathers.  It holds only the products its moments read
-(``states.read_products``); a table needs no other string, and a missing one
-raises IncompleteData naming it.
+with plain array gathers.  Its ``strings`` are the products its moments read
+(``states.read_products``), the (x, z) masks ``states.required_strings`` gives;
+a table needs no other string, and a missing one raises IncompleteData naming it.
 
 A term's commutator moments F_alpha[l, k] = omega(b_l^* [h_alpha, b_k]) vanish
 outside the c <= r columns k where some string of h_alpha anticommutes with
@@ -110,7 +110,7 @@ class MomentAssembler:
 
         xb, zb = masks(self.b)
         xt, zt = masks(strings)
-        (u, k), (self._x, self._z), (self._pair_idx, self._triple_idx, self._term_idx) = (
+        (u, k), self.strings, (self._pair_idx, self._triple_idx, self._term_idx) = (
             read_products(xb, zb, xt, zt)
         )
 
@@ -152,7 +152,7 @@ class MomentAssembler:
         """
         if table.n != self.n:
             raise DimensionMismatch(f"table on {table.n} sites, assembler on {self.n}")
-        v = table.lookup(self._x, self._z)
+        v = table.lookup(*self.strings)
         raw = self._pair_phase * v[self._pair_idx]
         gram = 0.5 * (raw + raw.conj().T)
         # F_alpha[:, k] sums c_u omega(b_l [t_u, b_k]) over the strings u of h_alpha, in u order;

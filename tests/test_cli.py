@@ -5,12 +5,13 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gibbslearn import cli
+from gibbslearn import cli, moments, states
 from gibbslearn.cli import (
     ExperimentConfig,
     _config_from_args,
@@ -58,6 +59,36 @@ def small_sweep_config(**overrides):
     for key, value in overrides.items():
         setattr(cfg, key, value)
     return cfg
+
+
+def without_wall(sweep):
+    """A ``run_sweep`` result with each record's wall_ms left out."""
+    records, aggregates = sweep
+    return [{k: v for k, v in rec.items() if k != "wall_ms"} for rec in records], aggregates
+
+
+@pytest.fixture
+def stub_pool(monkeypatch):
+    """Replace the sweep's process pool by one that runs in this process; returns its sizes."""
+    sizes = []
+
+    class StubPool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", StubPool)
+    monkeypatch.setattr(cli, "_WORKER_CTX", {})
+    return sizes
 
 
 def strip_wall(path):
@@ -660,12 +691,64 @@ class TestSweep:
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_noise_level_overflowing_w_threshold(self, tmp_path, capsys, workers):
+        # two runs, so that --workers 2 goes through a pool of two
         argv = ["--n", "3", "--temperatures", "1", "--sigma-grid", "1e153", "--runs-per-point",
-                "1", "--workers", workers, "--out-dir", str(tmp_path / "out")]
+                "2", "--workers", workers, "--out-dir", str(tmp_path / "out")]
         assert main(["sweep", *argv]) == 4
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: GibbsLearnError: noise level 1")
         assert "overflows the W threshold" in err[0]
+
+    def test_sweeps_in_threads_are_independent(self):
+        # each sweep is passed to its own jobs, so two in one process read only their own
+        configs = [
+            ExperimentConfig(n=4, xxz_delta=delta, temperatures=[1.0], sigma_grid=[1e-8],
+                             runs_per_point=6, seed=seed)
+            for delta, seed in ((0.5, 1), (1.5, 2))
+        ]
+        solo = [without_wall(run_sweep(cfg)) for cfg in configs]
+        together = [None, None]
+
+        def sweep(i):
+            together[i] = without_wall(run_sweep(configs[i]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(2):
+                threads = [threading.Thread(target=sweep, args=(i,)) for i in range(2)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in threads)
+                assert together == solo
+                together = [None, None]
+        finally:
+            sys.setswitchinterval(interval)
+        assert cli._WORKER_CTX == {}
+
+    @pytest.mark.parametrize("workers, runs, sizes", [(5, 2, [2]), (3, 1, [])])
+    def test_pool_is_sized_to_the_jobs(self, stub_pool, workers, runs, sizes):
+        # a pool never has more processes than the sweep has jobs, and one job runs here
+        cfg = small_sweep_config(sigma_grid=[1e-6], runs_per_point=runs)
+        serial = without_wall(run_sweep(cfg))
+        assert without_wall(run_sweep(dataclasses.replace(cfg, workers=workers))) == serial
+        assert stub_pool == sizes
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_string_closure_per_sweep(self, stub_pool, monkeypatch, workers):
+        calls, read_products = [], states.read_products
+
+        def counted(*args):
+            calls.append(args)
+            return read_products(*args)
+
+        monkeypatch.setattr(states, "read_products", counted)
+        monkeypatch.setattr(moments, "read_products", counted)
+        run_sweep(small_sweep_config(workers=workers))
+        assert len(calls) == 1
+        assert stub_pool == ([2] if workers == 2 else [])
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_truth_outside_basis(self, tmp_path, capsys, workers):

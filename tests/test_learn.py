@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from gibbslearn.errors import (
     DeltaNotPositive,
     GibbsLearnError,
+    GramDegenerate,
     IncompleteData,
     NormalizationDegenerate,
     SolverFailure,
@@ -43,6 +45,27 @@ from gibbslearn.states import (
 )
 
 from oracles import full_closure, letters_sort_key, mask_strings, read_strings
+
+
+@pytest.mark.parametrize(
+    "error, message, attrs",
+    [
+        (GramDegenerate([1e-12, -3e-13], 1e-10),
+         "Gram matrix has 2 eigenvalue(s) <= floor 1.000e-10: [1e-12, -3e-13]",
+         {"eigenvalues": [1e-12, -3e-13], "floor": 1e-10}),
+        (DeltaNotPositive([2e-15], 1e-14),
+         "modular matrix has 1 eigenvalue(s) <= floor 1.000e-14: [2e-15]",
+         {"eigenvalues": [2e-15], "floor": 1e-14}),
+        (IncompleteData("X0 Z1"), "expectation table has no entry for 'X0 Z1'",
+         {"pauli_text": "X0 Z1"}),
+    ],
+)
+def test_errors_cross_a_process_boundary(error, message, attrs):
+    # a process pool returns an exception pickled, so it must rebuild unchanged
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is type(error) and back.args == error.args == (message,)
+    assert str(back) == message
+    assert {name: getattr(back, name) for name in attrs} == attrs
 
 
 class TestMetrics:

@@ -283,6 +283,16 @@ class TestRequiredStrings:
         with pytest.raises(ValueError, match="at most 64 sites"):
             MomentAssembler(too_big, [])
 
+    @pytest.mark.parametrize("terms", ["strings", "multi"])
+    def test_assembler_reads_the_required_strings(self, terms):
+        # one closure: the assembler publishes the masks a table must hold
+        b = enumerate_geometric_k_local(6, 2)
+        h = string_basis_operators(b) if terms == "strings" else [
+            PauliOperator.from_terms(6, [(-1.0, "X0 X1"), (0.5, "Y1 Z2"), (2.0, "Z3")]),
+            PauliOperator.from_terms(6, [(0.3, "X4 Y5"), (-0.7, "Z0 Z5"), (1.2, "Y2 X3 Y4")]),
+        ]
+        assert_same_masks(MomentAssembler(b, h).strings, required_strings(b, h))
+
     @pytest.mark.parametrize("n, rows", [(6, 2530), (10, 16582)])
     def test_read_set_size(self, n, rows):
         # the 2-local string basis reads 2,530 of 4,096 strings at n=6 and

@@ -14,6 +14,9 @@
 #   sweep-w1/, sweep-w2/
 #              an n=6 sweep (T in {1, 2, 10}, sigma in {1e-8, 1e-6, 1e-3},
 #              2 runs, seed 7) at --workers 1 and 2, without the wall_ms column
+#   sweep-capped/
+#              an n=6 sweep of 2 jobs (T=1, sigma=1e-6, seed 8) at --workers 3,
+#              whose pool has as many processes as jobs, without wall_ms
 #   verify.txt `verify --n 3 --instances 100 --seed 404` and its exit code
 set -eu
 if [ $# -ne 2 ]; then
@@ -59,10 +62,11 @@ for stem in n6/T1p0 n6/T10p0 n10/T1p0 custom6/T1p0 custom6/T2p0; do
     echo "exit $code" >> "learn/$name.txt"
 done
 
-for workers in 1 2; do
-    dir="sweep-w$workers"
-    run sweep --n 6 --temperatures 1,2,10 --sigma-grid 1e-8,1e-6,1e-3 --runs-per-point 2 \
-        --seed 7 --workers "$workers" --out-dir "$dir" > /dev/null
+# sweep DIR FLAG...: an n=6 sweep into DIR, its records.csv without wall_ms
+sweep() {
+    dir=$1
+    shift
+    run sweep --n 6 "$@" --out-dir "$dir" > /dev/null
     python3 - "$dir/records.csv" <<'PY'
 import csv, sys
 with open(sys.argv[1], newline="") as handle:
@@ -73,7 +77,12 @@ with open(sys.argv[1], "w", newline="") as handle:
     writer.writeheader()
     writer.writerows(rows)
 PY
+}
+for workers in 1 2; do
+    sweep "sweep-w$workers" --temperatures 1,2,10 --sigma-grid 1e-8,1e-6,1e-3 \
+        --runs-per-point 2 --seed 7 --workers "$workers"
 done
+sweep sweep-capped --temperatures 1 --sigma-grid 1e-6 --runs-per-point 2 --seed 8 --workers 3
 
 code=0
 run verify --n 3 --instances 100 --seed 404 > verify.txt || code=$?
