@@ -174,7 +174,11 @@ class MomentAssembler:
         A threshold that is not finite and positive raises GibbsLearnError: an
         infinite one admits every direction and one at or below 0 none.  With
         the default this is a noise level that sends the formula to infinity.
+        An assembler with no candidate terms raises ValueError: Step 2 has no
+        direction to search.
         """
+        if not self.h_terms:
+            raise ValueError("no candidate Hamiltonian terms: Step 2 needs at least one")
         default = epsilon_w_value is None
         if default:
             epsilon_w_value = epsilon_w(table.noise_sigma, self.commutator_term_count)

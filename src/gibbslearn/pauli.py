@@ -6,6 +6,10 @@ The letter at a site is determined by the bit pair: (0,0) identity, (1,0) X,
 produced by products are exact fourth roots of unity, tracked as integer
 powers of i, never as floats.
 
+Every sorted set of strings (the closure, tables, table files, operator
+listings) is sorted by (x, z), the order of ``mask_order``; the string basis
+``enumerate_geometric_k_local`` alone is built in a letter order.
+
 ``dense_matrix`` is the one bridge to dense 2^n x 2^n matrices; it refuses
 more sites than ``dense_limit()``.
 """
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import re
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
@@ -25,8 +30,8 @@ PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 PHASE_TABLE = np.array(PHASES)  # i^g for an array of exponents g
 
 _CODE_LETTERS = ("I", "X", "Z", "Y")  # indexed by the code x_bit | z_bit << 1
-_LETTER_CODES = {letter: code for code, letter in enumerate(_CODE_LETTERS) if code}
-_RANKED_CODES = (0, 1, 3, 2)  # the codes of I < X < Y < Z, the canonical letter order
+_TOKEN = re.compile(r"([XYZ])(0|[1-9][0-9]*)")  # a letter and a site, read as it is written
+_RANKED_CODES = (0, 1, 3, 2)  # the codes of I < X < Y < Z, the basis's letter order
 
 DEFAULT_DENSE_LIMIT = 12
 _DENSE_LIMIT_ENV = "GIBBSLEARN_DENSE_LIMIT"
@@ -186,8 +191,8 @@ class PauliOperator:
         return self.terms.get(string, 0j)
 
     def strings(self) -> List[PauliString]:
-        strings = list(self.terms)
-        return [strings[i] for i in canonical_order(*masks(strings))]
+        """The strings of the terms, sorted by (x, z) like tables and table files."""
+        return sorted(self.terms, key=lambda s: (s.x, s.z))
 
     def to_text(self) -> str:
         parts = []
@@ -227,10 +232,12 @@ def commutator(a: PauliOperator, b: PauliOperator) -> PauliOperator:
 def enumerate_geometric_k_local(n: int, k: int) -> List[PauliString]:
     """All non-identity strings supported on a contiguous window of <= k sites.
 
-    Built in canonical order (``canonical_order``), with no sort and no mask
-    array, so chains beyond 64 sites work too.  The identity is left out: as a
-    candidate term it would satisfy the normalization on its own and leave the
-    program's scale arbitrary.
+    Built in letter order, with no sort and no mask array, so chains beyond 64
+    sites work too: by first site, by width, then by the letters of the window
+    site by site, I < X < Y < Z.  This order fixes the row order of the Gram
+    matrix, W and the program.  The identity is left out: as a candidate term
+    it would satisfy the normalization on its own and leave the program's
+    scale arbitrary.
     """
     if not 1 <= k <= n:
         raise ValueError(f"locality k={k} must satisfy 1 <= k <= n={n}")
@@ -280,8 +287,9 @@ def parse_texts(lines: Sequence[str], n: int) -> Tuple[np.ndarray, np.ndarray]:
     """The masks of strings on n sites written as text: uint64, or Python ints beyond 64 sites.
 
     A line is "I" or "" for the identity, or tokens such as "Y3" (a letter X, Y
-    or Z and a site below n) in any order.  A token that does not parse, a site
-    out of range and a site listed twice raise ValueError.
+    or Z and a site below n, in ASCII digits with no leading zero, so every
+    token reads as ``texts`` writes it) in any order.  A token that does not
+    parse, a site out of range and a site listed twice raise ValueError.
     """
     parsed: Dict[str, Tuple[int, int]] = {}  # token -> (site, letter code), each parsed once
     xs, zs = [], []
@@ -290,13 +298,13 @@ def parse_texts(lines: Sequence[str], n: int) -> Tuple[np.ndarray, np.ndarray]:
         x = z = 0
         for token in () if text == "I" else text.split():
             if token not in parsed:
-                letter, site = token[0], token[1:]
-                if letter not in _LETTER_CODES or not site.isdigit():
+                match = _TOKEN.fullmatch(token)
+                if not match:
                     raise ValueError(f"cannot parse Pauli token {token!r}")
-                site = int(site)
+                letter, site = match[1], int(match[2])
                 if site >= n:
                     raise ValueError(f"site {site} outside [0, {n})")
-                parsed[token] = site, _LETTER_CODES[letter]
+                parsed[token] = site, _CODE_LETTERS.index(letter)
             site, code = parsed[token]
             if (x | z) >> site & 1:
                 raise ValueError(f"site {site} listed twice in {text!r}")
@@ -308,79 +316,31 @@ def parse_texts(lines: Sequence[str], n: int) -> Tuple[np.ndarray, np.ndarray]:
     return np.array(xs, dtype=dtype), np.array(zs, dtype=dtype)
 
 
+def mask_order(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The permutation that sorts strings, given by their uint64 masks, by (x, z).
+
+    When every mask fits in 32 bits, as on up to 32 sites, one ``np.argsort``
+    of the word x << 32 | z, which sorts by (x, z) too; wider masks, from 33
+    to 64 sites, take one ``np.lexsort`` on (x, z).
+    """
+    if int((x | z).max(initial=0)) >> 32 == 0:
+        return np.argsort(x << np.uint64(32) | z)
+    return np.lexsort((z, x))
+
+
 def unique_masks(x: np.ndarray, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct strings of two mask arrays, sorted by (x, z), and where each lands.
 
     Returns their masks and ``inverse``: (x, z)[i] is the ``inverse[i]``-th
-    of them.  When every mask fits in 32 bits, one ``np.argsort`` of the word
-    x << 32 | z, which sorts by (x, z) too; wider masks, from 33 to 64 sites,
-    take one ``np.lexsort`` on (x, z).  Then a cumsum over the sorted masks.
+    of them.  One ``mask_order``, then a cumsum over the sorted masks.
     """
-    if int((x | z).max(initial=0)) >> 32 == 0:
-        order = np.argsort(x << np.uint64(32) | z)
-    else:
-        order = np.lexsort((z, x))
+    order = mask_order(x, z)
     x, z = x[order], z[order]
     first = np.ones(len(x), dtype=bool)
     first[1:] = (x[1:] != x[:-1]) | (z[1:] != z[:-1])
     inverse = np.empty(len(x), dtype=np.intp)
     inverse[order] = np.cumsum(first) - 1
     return x[first], z[first], inverse
-
-
-_REVERSED_BYTES = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
-_SPREAD_STEPS = tuple(
-    (np.uint64(shift), np.uint64(mask))
-    for shift, mask in (
-        (16, 0x0000FFFF0000FFFF),
-        (8, 0x00FF00FF00FF00FF),
-        (4, 0x0F0F0F0F0F0F0F0F),
-        (2, 0x3333333333333333),
-        (1, 0x5555555555555555),
-    )
-)
-
-
-def _reversed_bits(v: np.ndarray) -> np.ndarray:
-    """Each uint64 word with its 64 bits in reverse order: bit k moves to bit 63 - k."""
-    return _REVERSED_BYTES[np.ascontiguousarray(v).view(np.uint8)].view(np.uint64).byteswap()
-
-
-def _spread(v: np.ndarray) -> np.ndarray:
-    """Bit k of each word's low 32 bits moved to bit 2k, the other bits 0."""
-    v = v & np.uint64(0xFFFFFFFF)
-    for shift, mask in _SPREAD_STEPS:
-        v = (v | v << shift) & mask
-    return v
-
-
-def canonical_order(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The permutation that sorts strings, given by their uint64 masks, into canonical order.
-
-    The identity comes first, then the strings by first site, by width and
-    by the letters of their window, site by site, in the order I < X < Y < Z.
-    The letter ranks 0 to 3, z << 1 | (x ^ z) at each site, are packed two
-    bits a site, the window's first site most significant, into one word per
-    32 sites of the widest window; one more word packs the identity flag, the
-    first site and the width.  One stable ``np.lexsort`` runs on these two or
-    three words; every shift is by at most 63 bits.
-    """
-    occupied = x | z
-    non_identity = occupied != 0
-    lowest = occupied & (~occupied + np.uint64(1))
-    first = np.where(non_identity, np.bitwise_count(lowest - np.uint64(1)), 0).astype(np.uint64)
-    smeared = occupied.copy()
-    for shift in (1, 2, 4, 8, 16, 32):
-        smeared |= smeared >> np.uint64(shift)
-    width = np.bitwise_count(smeared).astype(np.uint64) - first
-    # window site j at bit 63 - j: the high half holds sites 0-31, the low half 32-63
-    high, low = _reversed_bits(z >> first), _reversed_bits((x ^ z) >> first)
-    halves = (32, 0) if int(width.max(initial=0)) > 32 else (32,)
-    words = [
-        _spread(high >> np.uint64(h)) << np.uint64(1) | _spread(low >> np.uint64(h)) for h in halves
-    ]
-    head = non_identity.astype(np.uint64) << np.uint64(14) | first << np.uint64(7) | width
-    return np.lexsort((*words[::-1], head))
 
 
 # --- dense bridge ---------------------------------------------------------
@@ -424,5 +384,8 @@ def dense_matrix(op: PauliOperator) -> np.ndarray:
 
 
 def all_strings(n: int, include_identity: bool = True) -> List[PauliString]:
-    """All 4^n strings (or 4^n - 1 traceless ones) in canonical order."""
+    """All 4^n strings (or 4^n - 1 traceless ones): the identity first, then in letter order.
+
+    The order of ``enumerate_geometric_k_local(n, n)``.
+    """
     return [PauliString.identity(n)] * include_identity + enumerate_geometric_k_local(n, n)

@@ -10,7 +10,6 @@ corrupted by independent Gaussian noise of a given standard deviation.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -125,7 +124,7 @@ def read_products(xb: np.ndarray, zb: np.ndarray, xt: np.ndarray, zt: np.ndarray
 def required_strings(
     b_basis: Sequence[PauliString], h_terms: Sequence[PauliOperator]
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The uint64 masks (x, z) of the strings the moments read (``read_products``), sorted.
+    """The uint64 masks (x, z) of the strings the moments read (``read_products``), in (x, z) order.
 
     Products b_i b_j give the Gram and modular matrices, the term strings t the
     normalization data, and b_i t b_j the commutator moments wherever t
@@ -176,11 +175,13 @@ def read_tsv(path) -> Tuple[Dict[str, str], List[Tuple[str, str]]]:
 class ExpectationTable:
     """Pauli strings, as uint64 masks ``x`` and ``z``, and their (possibly noisy) values.
 
-    The constructor sorts the three arrays once into canonical string order
-    (``pauli.canonical_order``), which saving follows.  A mask outside the n
-    sites, a string listed twice, a non-finite value, an identity value
-    other than exactly 1, a ``noise_sigma`` that ``check_noise_level`` refuses
-    and a ``seed`` that is not a nonnegative whole number raise ValueError.
+    The constructor sorts the three arrays once by (x, z) (``pauli.mask_order``),
+    and saving follows that order.  Masks from ``required_strings`` or
+    ``MomentAssembler.strings`` are in it already and keep their order.  A
+    mask outside the n sites, a string listed twice, a non-finite value, an
+    identity value other than exactly 1, a ``noise_sigma`` that
+    ``check_noise_level`` refuses and a ``seed`` that is not a nonnegative
+    whole number raise ValueError.
     ``noise_sigma`` is held as a Python float and ``seed`` as a Python int, so
     a numpy scalar saves as a number that ``load`` reads back.
     """
@@ -198,12 +199,8 @@ class ExpectationTable:
         values = np.asarray(self.values, dtype=float)
         if ((x | z) >> np.uint64(self.n)).any():
             raise ValueError(f"a string acts outside the table's {self.n} sites")
-        order = pauli.canonical_order(x, z)
+        order = pauli.mask_order(x, z)
         self.x, self.z, self.values = x[order], z[order], values[order]
-        self._check()
-
-    def _check(self):
-        """Check the noise level, the seed and the entries of masks already in canonical order."""
         check_noise_level(self.noise_sigma)
         self.noise_sigma = float(self.noise_sigma)
         if self.seed is not None:
@@ -211,7 +208,7 @@ class ExpectationTable:
             if not whole or self.seed < 0:
                 raise ValueError(f"seed {self.seed!r}: must be a nonnegative whole number")
             self.seed = int(self.seed)
-        # canonical order puts equal strings next to each other
+        # sorted by (x, z), equal strings are neighbours
         repeated = np.zeros(len(self.x), dtype=bool)
         repeated[1:] = (self.x[1:] == self.x[:-1]) & (self.z[1:] == self.z[:-1])
         for bad, problem in (
@@ -333,14 +330,14 @@ def add_noise(table: ExpectationTable, sigma: float, seed) -> ExpectationTable:
     or reordering of a table carries the same noisy values as the whole, and an
     integral seed, which the table records, reproduces every draw.  The identity
     stays 1, entries are not clamped to [-1, 1], and composing adds variances.
-    The result keeps the input's strings and order; its values, noise level and
-    seed pass the constructor's checks.
+    The result, built by the table constructor, holds the input's strings in
+    the same order.
     """
     check_noise_level(sigma)
-    noisy = copy.copy(table)  # the input's masks, already canonical and checked, are shared
     if sigma == 0:
-        noisy.values = table.values.copy()
-        return noisy
+        return ExpectationTable(
+            table.n, table.x, table.z, table.values, table.noise_sigma, table.seed
+        )
     sequence = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     k0, k1 = sequence.generate_state(2, np.uint64)
     h = _mix(_mix(table.x ^ k0) ^ table.z)
@@ -348,8 +345,6 @@ def add_noise(table: ExpectationTable, sigma: float, seed) -> ExpectationTable:
     u2 = (_mix(h ^ k1) >> np.uint64(11)) * 2.0**-53
     values = table.values + sigma * np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
     values[(table.x | table.z) == 0] = 1.0
-    noisy.values = values
-    noisy.noise_sigma = math.sqrt(table.noise_sigma**2 + sigma**2)
-    noisy.seed = int(seed) if isinstance(seed, (int, np.integer)) else None
-    noisy._check()
-    return noisy
+    noise_sigma = math.sqrt(table.noise_sigma**2 + sigma**2)
+    recorded = int(seed) if isinstance(seed, (int, np.integer)) else None
+    return ExpectationTable(table.n, table.x, table.z, values, noise_sigma, recorded)

@@ -25,13 +25,18 @@ def kron_string(string):
 
 
 def letters_sort_key(s):
-    """The canonical order read off the site-to-letter map, one site at a time."""
+    """The string basis's letter order read off the site-to-letter map, one site at a time."""
     if s.is_identity:
         return (0, 0, 0, ())
     sites = s.support
     first, last = sites[0], sites[-1]
     window = tuple(s.letters.get(site, "I") for site in range(first, last + 1))
     return (1, first, last - first + 1, window)
+
+
+def mask_sort_key(s):
+    """The (x, z) order of tables, table files and operator listings."""
+    return (s.x, s.z)
 
 
 def letters_text(s):

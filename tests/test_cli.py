@@ -24,7 +24,7 @@ from gibbslearn.cli import (
 )
 from gibbslearn.errors import ConfigError
 from gibbslearn.models import string_basis_operators, xxz_chain
-from gibbslearn.pauli import PauliString, canonical_order, enumerate_geometric_k_local
+from gibbslearn.pauli import PauliString, enumerate_geometric_k_local
 from gibbslearn.states import ExpectationTable, build_table, gibbs_density, required_strings
 
 
@@ -284,9 +284,8 @@ class TestConfig:
         table_path = out / "table_T1p0.tsv"
         basis = enumerate_geometric_k_local(4, 1)
         x, z = required_strings(basis, string_basis_operators(basis))
-        order = canonical_order(x, z)
         table = ExpectationTable.load(table_path)
-        assert np.array_equal(table.x, x[order]) and np.array_equal(table.z, z[order])
+        assert np.array_equal(table.x, x) and np.array_equal(table.z, z)
         # learn reads no config file and defaults to 2-local terms, whose
         # closure needs strings this 1-local table lacks
         assert main(["learn", "--table", str(table_path)]) == 4
@@ -569,13 +568,13 @@ class TestTruthFile:
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_coefficient_not_finite(self, tables_n4_n5, tmp_path, capsys, value):
         def edit(lines):
-            # two header lines, then the first row, "-1.0<TAB>X0 X1"
+            # two header lines, then the first row in (x, z) order, "-0.5<TAB>Z0 Z1"
             return [*lines[:2], value + "\t" + lines[2].split("\t")[1], *lines[3:]]
 
         truth = self.gen_truth(tables_n4_n5, tmp_path, edit)
         err = self.learn_error(capsys, tables_n4_n5 / "n4" / "table_T1p0.tsv", truth)
         assert err == (
-            f"config error: truth file {truth}: coefficient {float(value)!r} of 'X0 X1': "
+            f"config error: truth file {truth}: coefficient {float(value)!r} of 'Z0 Z1': "
             "must be finite"
         )
 

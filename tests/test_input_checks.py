@@ -8,12 +8,19 @@ from gibbslearn.learn import (
     ReconstructionResult,
     Verdict,
     evaluate_recovery,
+    reconstruct,
     recovery_angle,
     temperature_ratio,
 )
 from gibbslearn.models import xxz_chain
 from gibbslearn.moments import MomentAssembler
-from gibbslearn.pauli import PauliOperator, PauliString, enumerate_geometric_k_local, masks
+from gibbslearn.pauli import (
+    PauliOperator,
+    PauliString,
+    all_strings,
+    enumerate_geometric_k_local,
+    masks,
+)
 from gibbslearn.sdp import SdpProblem
 from gibbslearn.states import build_table, expectation
 
@@ -39,6 +46,14 @@ CHECKS = {
         ),
         ValueError,
         "must be selfadjoint",
+    ),
+    "reconstruct-no-candidate-terms": (
+        lambda: reconstruct(
+            build_table(np.eye(2) / 2, masks(all_strings(1))),
+            MomentAssembler([PauliString(1, x=1)], []),
+        ),
+        ValueError,
+        "no candidate Hamiltonian terms",
     ),
     "sdp-no-kernel-matrix": (
         lambda: SdpProblem(np.eye(2), np.zeros((0, 2, 2)), np.zeros(0)),

@@ -44,7 +44,7 @@ from gibbslearn.states import (
     required_strings,
 )
 
-from oracles import full_closure, letters_sort_key, mask_strings, read_strings
+from oracles import full_closure, mask_sort_key, mask_strings, read_strings
 
 
 @pytest.mark.parametrize(
@@ -339,7 +339,7 @@ def xxz_bond_terms(n):
 
 def rows_of(table, strings):
     """The rows of ``table`` for ``strings`` only, with its noise level and seed."""
-    x, z = masks(sorted(strings, key=lambda s: (s.x, s.z)))
+    x, z = masks(sorted(strings, key=mask_sort_key))
     return ExpectationTable(table.n, x, z, table.lookup(x, z), table.noise_sigma, table.seed)
 
 
@@ -359,7 +359,7 @@ class TestReadStrings:
         closure = build_table(rho, masks(list(full_closure(b, h_terms))))
         gen_rows = build_table(rho, required_strings(b, h_terms))
         assert mask_strings(n, gen_rows.x, gen_rows.z) == sorted(
-            set.union(*read_strings(b, h_terms)), key=letters_sort_key
+            set.union(*read_strings(b, h_terms)), key=mask_sort_key
         )
         assert len(gen_rows.values) < len(closure.values)
         # noise keyed by string gives the gen rows the closure's noisy values
@@ -379,7 +379,7 @@ class TestReadStrings:
         h_terms = xxz_bond_terms(n)
         exact = build_table(gibbs_density(xxz_chain(n, 0.5), 1.0), required_strings(b, h_terms))
         pairs_and_terms, triples = read_strings(b, h_terms)
-        dropped = min(triples - pairs_and_terms, key=lambda s: (s.x, s.z))
+        dropped = min(triples - pairs_and_terms, key=mask_sort_key)
         table = rows_of(exact, (pairs_and_terms | triples) - {dropped})
         with pytest.raises(IncompleteData, match=f"'{dropped.to_text()}'"):
             reconstruct(table, MomentAssembler(b, h_terms))
@@ -436,7 +436,7 @@ class TestResultSerialization:
         assert result.verdict is Verdict.CANDIDATE
         lines = record_lines(result, tmp_path)
         assert [key for key, _, _ in lines[len(RECORD_HEAD):]] == [
-            f"coeff.-1.0 X{i} X{i+1}; -1.0 Y{i} Y{i+1}; -0.5 Z{i} Z{i+1}" for i in range(n - 1)
+            f"coeff.-0.5 Z{i} Z{i+1}; -1.0 X{i} X{i+1}; -1.0 Y{i} Y{i+1}" for i in range(n - 1)
         ]
         assert [float(value) for _, _, value in lines[len(RECORD_HEAD):]] == result.y_star.tolist()
 

@@ -497,7 +497,8 @@ class TestSiteCount:
     def test_table_on_other_site_count(self):
         # the n=4 table holds every mask of the n=3 closure, so only the
         # site-count check keeps it from being read as a sub-chain
-        asm = MomentAssembler(enumerate_geometric_k_local(3, 2), [])
+        b = enumerate_geometric_k_local(3, 2)
+        asm = MomentAssembler(b, string_basis_operators(b))
         table = build_table(gibbs_density(xxz_chain(4), 1.0), masks(all_strings(4)))
         with pytest.raises(DimensionMismatch, match="table on 4 sites, assembler on 3"):
             asm.matrices(table)

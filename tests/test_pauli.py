@@ -4,15 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gibbslearn.errors import DenseLimitExceeded, DimensionMismatch
-from gibbslearn.models import string_basis_operators
+from gibbslearn.models import string_basis_operators, xxz_chain
 from gibbslearn.pauli import (
     PauliOperator,
     PauliString,
     all_strings,
-    canonical_order,
     commutator,
     dense_matrix,
     enumerate_geometric_k_local,
+    mask_order,
     masks,
     multiply,
     parse_texts,
@@ -22,7 +22,14 @@ from gibbslearn.pauli import (
 )
 from gibbslearn.states import required_strings
 
-from oracles import kron_operator, kron_string, letters_sort_key, letters_text, mask_strings
+from oracles import (
+    kron_operator,
+    kron_string,
+    letters_sort_key,
+    letters_text,
+    mask_sort_key,
+    mask_strings,
+)
 
 
 @st.composite
@@ -169,16 +176,15 @@ class TestEnumeration:
         assert a == b
         keys = [letters_sort_key(s) for s in a]
         assert keys == sorted(keys)
-        assert [a[i] for i in canonical_order(*masks(a))] == a
 
-    def test_canonical_order_beyond_64_sites(self):
+    def test_letter_order_beyond_64_sites(self):
         # built in order, so the n=100 basis needs no 64-bit mask
         a = enumerate_geometric_k_local(100, 2)
         assert a == sorted(a, key=letters_sort_key)
 
 
 class TestSortKey:
-    """Every sorted list of strings follows the reference key ``letters_sort_key``."""
+    """``all_strings`` follows the letter key ``letters_sort_key``; operator listings, (x, z)."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_string(self, n):
@@ -193,26 +199,56 @@ class TestSortKey:
         strings = all_strings(6)
         assert len(strings) == 4096
         op = PauliOperator(6, {s: 1.0 for s in reversed(strings)})
-        assert op.strings() == sorted(strings, key=letters_sort_key)
+        assert op.strings() == sorted(strings, key=mask_sort_key)
+
+    def test_chain_beyond_64_sites(self):
+        # the paper's 100-site chain lists its 297 terms, by (x, z): every
+        # Z Z bond (x = 0) first, then each bond's X X and Y Y, which share x
+        h = xxz_chain(100)
+        assert h.strings() == sorted(h.terms, key=mask_sort_key) and len(h.terms) == 297
+        bonds = range(99)
+        assert h.to_text().split("; ") == [f"-0.5 Z{i} Z{i+1}" for i in bonds] + [
+            f"-1.0 {p}{i} {p}{i+1}" for i in bonds for p in "XY"
+        ]
+        assert repr(h) == f"PauliOperator(100, {h.to_text()!r})"
 
 
-def assert_canonical_order(strings, seed):
+def assert_mask_order(strings, seed):
     strings = list(strings)
     np.random.default_rng(seed).shuffle(strings)
-    got = [strings[i] for i in canonical_order(*masks(strings))]
-    assert got == sorted(strings, key=letters_sort_key)
+    assert [strings[i] for i in mask_order(*masks(strings))] == sorted(strings, key=mask_sort_key)
+
+
+def repeated_masks(top):
+    """300 random masks with repeats, ``top`` as the highest bit, and pairs
+    that share x but not z or z but not x."""
+    rng = np.random.default_rng(3)
+    x = rng.choice(np.array([0, 1, 5, top], dtype=np.uint64), 300)
+    z = rng.choice(np.array([0, 2, 5, top], dtype=np.uint64), 300)
+    return x, z
 
 
 class TestCanonicalOrder:
+    """The one string order of tables, table files and operator listings, by (x, z)."""
+
+    @pytest.mark.parametrize("top", [1 << 63, 1 << 31], ids=["wide", "one-word"])
+    def test_repeated_masks(self, top):
+        # masks below 2^32 take the one-word sort, wider ones the lexsort
+        x, z = repeated_masks(top)
+        order = mask_order(x, z)
+        assert sorted(order.tolist()) == list(range(len(x)))
+        got = list(zip(x[order].tolist(), z[order].tolist()))
+        assert got == sorted(zip(x.tolist(), z.tolist()))
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_string(self, n):
-        assert_canonical_order(
+        assert_mask_order(
             [PauliString(n, x, z) for x in range(1 << n) for z in range(1 << n)], n
         )
 
     def test_two_local_closure_n6(self):
         b = enumerate_geometric_k_local(6, 2)
-        assert_canonical_order(mask_strings(6, *required_strings(b, string_basis_operators(b))), 6)
+        assert_mask_order(mask_strings(6, *required_strings(b, string_basis_operators(b))), 6)
 
     def test_top_bit_n64(self):
         # random masks with every bit, the top one included, equally likely,
@@ -222,14 +258,14 @@ class TestCanonicalOrder:
         strings = {PauliString(64, int(x), int(z)) for x, z in words.tolist()}
         strings |= {PauliString.from_text(t, 64) for t in ("I", "X63", "Y0 Z63", "Z62 Y63")}
         assert any(s.x >> 63 or s.z >> 63 for s in strings)
-        assert_canonical_order(strings, 64)
+        assert_mask_order(strings, 64)
 
     @pytest.mark.parametrize("width", [31, 32, 33, 64])
     def test_window_across_word_boundary(self, width):
         # windows 31 to 64 sites wide, at either end of 64 sites, and strings
         # that differ from them at one window site, the last one or one on
-        # either side of site 32, where the packed letters pass from one word
-        # to the next
+        # either side of site 32, where a mask passes from its low 32 bits
+        # to its high ones
         n, rng = 64, np.random.default_rng(width)
 
         def string(first, codes):
@@ -247,20 +283,16 @@ class TestCanonicalOrder:
                     for code in range(site == width - 1, 4):  # the last site stays a letter
                         strings.add(string(first, np.where(np.arange(width) == site, code, codes)))
         assert {s.support[-1] - s.support[0] + 1 for s in strings if s.support} == {width}
-        assert_canonical_order(strings, width)
+        assert_mask_order(strings, width)
 
     def test_empty(self):
-        assert len(canonical_order(*masks([]))) == 0
+        assert len(mask_order(*masks([]))) == 0
 
 
 class TestUniqueMasks:
     @pytest.mark.parametrize("top", [1 << 63, 1 << 31], ids=["wide", "one-word"])
     def test_against_set(self, top):
-        # repeats, the top bit, and pairs that share x but not z or z but not x;
-        # masks below 2^32 take the one-word sort, wider ones the lexsort
-        rng = np.random.default_rng(3)
-        x = rng.choice(np.array([0, 1, 5, top], dtype=np.uint64), 300)
-        z = rng.choice(np.array([0, 2, 5, top], dtype=np.uint64), 300)
+        x, z = repeated_masks(top)
         ux, uz, inverse = unique_masks(x, z)
         assert list(zip(ux.tolist(), uz.tolist())) == sorted(set(zip(x.tolist(), z.tolist())))
         assert np.array_equal(ux[inverse], x) and np.array_equal(uz[inverse], z)
@@ -396,12 +428,16 @@ class TestTextCodec:
             ("X0 Xa", "cannot parse Pauli token 'Xa'"),
             ("X7", "site 7 outside [0, 4)"),
             ("X0 Z1 Y0", "site 0 listed twice in 'X0 Z1 Y0'"),
+            ("X01 Z2", "cannot parse Pauli token 'X01'"),
+            ("X\u0663", "cannot parse Pauli token 'X\u0663'"),
+            ("Y\u00b2", "cannot parse Pauli token 'Y\u00b2'"),
         ],
-        ids=["letter", "site", "range", "twice"],
+        ids=["letter", "site", "range", "twice", "leading-zero", "arabic-indic", "superscript"],
     )
     def test_bad_row_among_many(self, bad, message):
         # the rows before the bad one parse X0 and Z1 first, so a duplicate is
-        # caught on tokens already parsed
+        # caught on tokens already parsed; a site is ASCII digits with no
+        # leading zero, so every token that parses is read as it is written
         good = texts(*np.divmod(np.arange(256), 16))
         with pytest.raises(ValueError) as single:
             PauliString.from_text(bad, 4)

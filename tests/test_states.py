@@ -33,7 +33,7 @@ from oracles import (
     keyed_normal,
     kron_operator,
     kron_string,
-    letters_sort_key,
+    mask_sort_key,
     mask_strings,
     read_strings,
 )
@@ -426,7 +426,7 @@ class TestBuildTable:
         shuffled = list(strings)
         np.random.default_rng(5).shuffle(shuffled)
         table = build_table(rho, masks(shuffled))
-        assert mask_strings(3, table.x, table.z) == strings
+        assert mask_strings(3, table.x, table.z) == sorted(strings, key=mask_sort_key)
         assert_same_table(table, build_table(rho, masks(list(set(strings)))))
 
     def test_rejects_mask_outside_sites(self):
@@ -511,22 +511,23 @@ class TestTable:
         with pytest.raises(ValueError, match="must be a nonnegative whole number"):
             ExpectationTable(1, [0], [0], [1.0], 1e-3, seed)
 
-    def test_held_in_canonical_order(self, tmp_path):
+    def test_held_in_mask_order(self, tmp_path):
         # a table built from shuffled arrays saves and draws noise exactly
-        # like one built in canonical order
+        # like one built on the required strings, which are sorted by (x, z)
+        # and keep their order
         n = 4
         basis = enumerate_geometric_k_local(n, 2)
-        needed = mask_strings(n, *required_strings(basis, string_basis_operators(basis)))
-        strings = sorted(needed, key=letters_sort_key)
+        x, z = required_strings(basis, string_basis_operators(basis))
+        strings = mask_strings(n, x, z)
+        assert strings == sorted(strings, key=mask_sort_key)
         rho = gibbs_density(xxz_chain(n), 1.0)
-        x, z = masks(strings)
         exact = np.array([1.0 if s.is_identity else expectation(rho, s) for s in strings])
         order = np.random.default_rng(4).permutation(len(strings))
         assert np.any(order != np.arange(len(strings)))
         a = ExpectationTable(n, x, z, exact)
         b = ExpectationTable(n, x[order], z[order], exact[order])
         assert_same_table(a, b)
-        assert mask_strings(n, a.x, a.z) == strings
+        assert np.array_equal(a.x, x) and np.array_equal(a.z, z)
         a.save(tmp_path / "a.tsv")
         b.save(tmp_path / "b.tsv")
         assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
@@ -600,15 +601,17 @@ class TestNoise:
         x, z = masks(all_strings(n))
         table = ExpectationTable(n, x, z, ((x | z) == 0).astype(float))
         sigma = 1e-3
-        draws = add_noise(table, sigma, 11).values[1:] / sigma
+        noisy = add_noise(table, sigma, 11)
+        draws = noisy.values[1:] / sigma
         other = add_noise(table, sigma, 12).values[1:] / sigma
         limit = 5 / np.sqrt(len(draws))  # five standard errors of a mean or a correlation
         assert abs(draws.mean()) < limit
         assert abs(draws.std() - 1) < 0.05
         assert abs(np.mean(draws**4) / np.mean(draws**2) ** 2 - 3) < 5 * np.sqrt(24 / len(draws))
-        # neighbouring masks, in canonical order and in mask order, and two seeds
-        by_mask = draws[np.lexsort((z[1:], x[1:]))]
-        for a, b in ((draws[:-1], draws[1:]), (by_mask[:-1], by_mask[1:]), (draws, other)):
+        # neighbouring strings, in the table's (x, z) order and in letter
+        # order, and two seeds
+        by_letters = noisy.lookup(x[1:], z[1:]) / sigma
+        for a, b in ((draws[:-1], draws[1:]), (by_letters[:-1], by_letters[1:]), (draws, other)):
             assert abs(np.corrcoef(a, b)[0, 1]) < limit
 
     def test_subset_and_permutation(self):

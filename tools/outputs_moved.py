@@ -1,21 +1,27 @@
 #!/usr/bin/env python3
 """How far results moved between two tools/outputs.sh directories: tools/outputs_moved.py OLD NEW
 
-For a change meant to move results in their last digits, where `diff -r`
-of the two directories is not empty by design.  It compares every `learn`
-record (learn/*.record, with theta from the matching learn/*.txt) and every
-row of each sweep-*/records.csv, matched by (sigma_noise, temperature, run).
-It exits 1 if any record or row changes its verdict or q, or is missing on
-one side, and prints the largest |delta mu*|, the largest relative delta T*
-(t_star of a record, temp_ratio of a row) and the largest |delta theta|,
-each with where it occurs.  Exit code 2 is a usage error.
+For a change meant to move results in their last digits, or to reorder the
+lines of a file, where `diff -r` of the two directories is not empty by
+design.  It compares every `learn` record (learn/*.record, with theta from
+the matching learn/*.txt) and every row of each sweep-*/records.csv, matched
+by (sigma_noise, temperature, run), and every `gen` table and truth file
+(gen/*/table_*.tsv, gen/*/truth_*.txt), which must hold the same header
+lines, in order, and the same data lines, in any order.  It exits 1 if any
+record or row changes its verdict or q, if any table or truth file holds
+other lines, or if one of them is missing on one side, and prints the
+largest |delta mu*|, the largest relative delta T* (t_star of a record,
+temp_ratio of a row) and the largest |delta theta|, each with where it
+occurs.  Exit code 2 is a usage error.
 """
 
 import csv
 import sys
+from collections import Counter
 from pathlib import Path
 
 KEY = ("sigma_noise", "temperature", "run")
+GEN_FILES = ("gen/*/table_*.tsv", "gen/*/truth_*.txt")
 
 
 def learn_results(out):
@@ -49,6 +55,37 @@ def sweep_results(out):
                 name = f"{path.parent.name}/records.csv " + " ".join(f"{k}={row[k]}" for k in KEY)
                 results[name] = dict(row, t_star=row.get("temp_ratio", ""))
     return results
+
+
+def gen_files(out):
+    """{name: (header lines, Counter of data lines)} of each gen table and truth file."""
+    files = {}
+    for pattern in GEN_FILES:
+        for path in sorted(out.glob(pattern)):
+            lines = path.read_text().splitlines()
+            files[path.relative_to(out).as_posix()] = (
+                [line for line in lines if line.startswith("#")],
+                Counter(line for line in lines if not line.startswith("#")),
+            )
+    return files
+
+
+def compare_gen_files(old_dir, new_dir):
+    """Print and count each gen table or truth file one side lacks or that holds other lines."""
+    old, new = gen_files(old_dir), gen_files(new_dir)
+    names = sorted(set(old) | set(new))
+    differ = 0
+    for name in names:
+        if name not in old or name not in new:
+            print(f"only in {'OLD' if name in old else 'NEW'}: {name}")
+        elif old[name] != new[name]:
+            print(f"{name}: other header or data lines")
+        else:
+            continue
+        differ += 1
+    same = len(names) - differ
+    print(f"same header and data lines on {same} of {len(names)} table and truth files")
+    return differ
 
 
 def number(text):
@@ -86,7 +123,8 @@ def main(argv):
     print(f"verdict and q unchanged on {total - len(changed)} of {total} records and rows")
     for label, (moved, name) in largest.items():
         print(f"largest {label}: {moved:.3g} ({name})")
-    return 1 if changed else 0
+    differ = compare_gen_files(old_dir, new_dir)
+    return 1 if changed or differ else 0
 
 
 if __name__ == "__main__":
